@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "spatial/census.h"
-#include "spatial/linear_quadtree.h"
 #include "spatial/snapshot_view.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -242,148 +241,6 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
   stats.objects_retired = tree.epochs().objects_retired();
   stats.objects_reclaimed = tree.epochs().objects_reclaimed();
   stats.final_size = tree.size();
-  return stats;
-}
-
-[[nodiscard]] StatusOr<RwStormStats> RunLinearQuadtreeStorm(
-    const RwStormConfig& config, ExperimentRunner& runner) {
-  POPAN_CHECK(config.batch_size >= 1);
-  const std::vector<StormOp> trace =
-      MakeStormTrace(config.num_ops, config.insert_fraction, config.seed);
-  const geo::Box2 bounds = geo::Box2::UnitCube();
-  const spatial::PrTreeOptions options = OptionsOf(config);
-
-  POPAN_ASSIGN_OR_RETURN(
-      spatial::LinearPrQuadtree initial,
-      spatial::LinearPrQuadtree::BulkLoad(bounds, {}, options));
-  spatial::VersionedObject<spatial::LinearPrQuadtree> versioned(
-      std::move(initial), 0);
-
-  std::atomic<uint64_t> progress{0};
-  std::vector<std::vector<SnapshotRecord>> per_reader(config.reader_threads);
-  std::vector<std::thread> readers;
-  readers.reserve(config.reader_threads);
-  for (size_t r = 0; r < config.reader_threads; ++r) {
-    readers.emplace_back([&, r]() {
-      std::vector<SnapshotRecord>& out = per_reader[r];
-      out.reserve(config.snapshots_per_reader);
-      for (size_t i = 0; i < config.snapshots_per_reader; ++i) {
-        AwaitProgress(progress, ((i + 1) * config.num_ops) /
-                                    (config.snapshots_per_reader + 1));
-        auto view = versioned.Snapshot();
-        SnapshotRecord record;
-        record.sequence = view.sequence();
-        record.size = view->size();
-        view->VisitLeaves([&record](const geo::Box2&, size_t depth,
-                                    size_t occupancy) {
-          record.census.AddLeaves(occupancy, depth, 1);
-        });
-        record.query_results.reserve(config.queries_per_snapshot);
-        for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
-          std::vector<geo::Point2> points = view->RangeQuery(
-              StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
-          record.query_results.push_back(std::move(points));
-        }
-        out.push_back(std::move(record));
-      }
-    });
-  }
-
-  // The writer maintains the live set and publishes a canonical bulk
-  // rebuild every batch_size operations (and once at the very end), so
-  // published sequences are exactly the batch boundaries.
-  std::vector<geo::Point2> live;
-  Status writer_status = Status::OK();
-  uint64_t applied = 0;
-  for (const StormOp& op : trace) {
-    if (op.insert) {
-      live.push_back(op.point);
-    } else {
-      auto it = std::find(live.begin(), live.end(), op.point);
-      if (it == live.end()) {
-        writer_status = Status::Internal("trace erases a point not live");
-        break;
-      }
-      *it = live.back();
-      live.pop_back();
-    }
-    ++applied;
-    if (applied % config.batch_size == 0 || applied == config.num_ops) {
-      StatusOr<spatial::LinearPrQuadtree> rebuilt =
-          spatial::LinearPrQuadtree::BulkLoad(bounds, live, options);
-      if (!rebuilt.ok()) {
-        writer_status = rebuilt.status();
-        break;
-      }
-      versioned.Publish(std::move(rebuilt.value()), applied);
-      progress.store(applied, std::memory_order_relaxed);
-    }
-  }
-  progress.store(config.num_ops, std::memory_order_relaxed);
-  for (std::thread& t : readers) t.join();
-  POPAN_RETURN_IF_ERROR(writer_status);
-
-  versioned.epochs().AdvanceEpoch();
-  versioned.epochs().Reclaim();
-  if (versioned.epochs().limbo_size() != 0) {
-    return Status::Internal("limbo not empty after all readers released");
-  }
-
-  std::vector<SnapshotRecord> records;
-  for (std::vector<SnapshotRecord>& part : per_reader) {
-    for (SnapshotRecord& record : part) records.push_back(std::move(record));
-  }
-
-  std::span<const StormOp> trace_span(trace.data(), trace.size());
-  Status verified = VerifyRecords(
-      records,
-      [&config, &bounds, &options,
-       trace_span](const SnapshotRecord& record) -> std::string {
-        // Rebuild the live set of the first `sequence` operations, then
-        // bulk-load it: BulkLoad is canonical in the point set, so the
-        // result must match the published revision leaf for leaf.
-        std::vector<geo::Point2> ref_live;
-        for (size_t i = 0; i < record.sequence; ++i) {
-          const StormOp& op = trace_span[i];
-          if (op.insert) {
-            ref_live.push_back(op.point);
-          } else {
-            auto it = std::find(ref_live.begin(), ref_live.end(), op.point);
-            if (it == ref_live.end()) return "replayed erase of a dead point";
-            *it = ref_live.back();
-            ref_live.pop_back();
-          }
-        }
-        StatusOr<spatial::LinearPrQuadtree> ref =
-            spatial::LinearPrQuadtree::BulkLoad(bounds, std::move(ref_live),
-                                                options);
-        if (!ref.ok()) return ref.status().ToString();
-        spatial::Census ref_census;
-        ref->VisitLeaves([&ref_census](const geo::Box2&, size_t depth,
-                                       size_t occupancy) {
-          ref_census.AddLeaves(occupancy, depth, 1);
-        });
-        std::vector<std::vector<geo::Point2>> ref_q;
-        ref_q.reserve(record.query_results.size());
-        for (uint64_t j = 0; j < record.query_results.size(); ++j) {
-          std::vector<geo::Point2> points =
-              ref->RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
-          ref_q.push_back(std::move(points));
-        }
-        return CompareRecord(record, ref->size(), ref_census, ref_q);
-      },
-      runner);
-  POPAN_RETURN_IF_ERROR(verified);
-
-  RwStormStats stats;
-  stats.ops_applied = config.num_ops;
-  stats.snapshots_verified = records.size();
-  stats.epochs_advanced = versioned.epochs().epochs_advanced();
-  stats.objects_retired = versioned.epochs().objects_retired();
-  stats.objects_reclaimed = versioned.epochs().objects_reclaimed();
-  stats.final_size = live.size();
   return stats;
 }
 

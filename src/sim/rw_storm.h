@@ -70,8 +70,6 @@ struct RwStormConfig {
   size_t max_depth = 32;
   double insert_fraction = 0.65;
   uint64_t seed = 1;
-  /// LinearPrQuadtree storm only: operations per published rebuild.
-  size_t batch_size = 64;
 };
 
 struct RwStormStats {
@@ -91,13 +89,6 @@ struct RwStormStats {
 /// query results, or final-state invariants. On success all retired
 /// objects have been reclaimed.
 [[nodiscard]] StatusOr<RwStormStats> RunCowTreeStorm(
-    const RwStormConfig& config, ExperimentRunner& runner);
-
-/// Same storm against a VersionedObject<LinearPrQuadtree>: the writer
-/// bulk-rebuilds and publishes every `batch_size` operations (and once at
-/// the end), readers pin whole-structure revisions. Verifies each pinned
-/// revision against a bulk load of the replayed prefix's live set.
-[[nodiscard]] StatusOr<RwStormStats> RunLinearQuadtreeStorm(
     const RwStormConfig& config, ExperimentRunner& runner);
 
 }  // namespace popan::sim

@@ -1,6 +1,7 @@
 #include "spatial/census.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 
 #include "util/check.h"
@@ -162,6 +163,53 @@ bool operator==(const Census& a, const Census& b) {
     if (!PaddedEqual(ad, bd)) return false;
   }
   return true;
+}
+
+void LiveHistogram::Grow(size_t depth, size_t occupancy) {
+  const size_t width =
+      occupancy < width_ ? width_ : std::max(occupancy + 1, 2 * width_);
+  const size_t depths = std::max(depths_, depth + 1);
+  if (width == width_) {
+    cells_.resize(depths * width, 0);
+  } else {
+    std::vector<uint64_t> grown(depths * width, 0);
+    for (size_t d = 0; d < depths_; ++d) {
+      std::copy_n(cells_.begin() + static_cast<ptrdiff_t>(d * width_), width_,
+                  grown.begin() + static_cast<ptrdiff_t>(d * width));
+    }
+    cells_.swap(grown);
+    width_ = width;
+  }
+  depths_ = depths;
+}
+
+Census LiveHistogram::ToCensus() const {
+  Census census;
+  for (size_t d = 0; d < depths_; ++d) {
+    for (size_t occ = 0; occ < width_; ++occ) {
+      const uint64_t count = cells_[d * width_ + occ];
+      if (count != 0) census.AddLeaves(occ, d, count);
+    }
+  }
+  return census;
+}
+
+Status LiveHistogram::DiffAgainstWalk(const LiveHistogram& walked) const {
+  const size_t depths = std::max(depths_, walked.depths_);
+  const size_t width = std::max(width_, walked.width_);
+  for (size_t d = 0; d < depths; ++d) {
+    for (size_t occ = 0; occ < width; ++occ) {
+      const uint64_t want = walked.At(d, occ);
+      const uint64_t have = At(d, occ);
+      if (want != have) {
+        return Status::Internal(
+            "live census drift at depth " + std::to_string(d) +
+            " occupancy " + std::to_string(occ) + ": walked " +
+            std::to_string(want) + " live " + std::to_string(have));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 std::string Census::ToString() const {

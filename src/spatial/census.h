@@ -1,11 +1,14 @@
 #ifndef POPAN_SPATIAL_CENSUS_H_
 #define POPAN_SPATIAL_CENSUS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "numerics/vector.h"
+#include "util/check.h"
+#include "util/status.h"
 
 namespace popan::spatial {
 
@@ -91,6 +94,55 @@ class Census {
   std::vector<std::vector<uint64_t>> by_depth_;
   uint64_t leaf_count_ = 0;
   uint64_t item_count_ = 0;
+};
+
+/// The live occupancy-by-depth histogram a structure keeps exact through
+/// every mutation: At(depth, occ) = number of leaves (buckets) at `depth`
+/// holding exactly `occ` items. Add/Remove are O(1); ToCensus folds it
+/// into a Census in O(depths x occupancies), independent of the item
+/// count, so per-step censuses need no walk. A fresh walk, Add-ed leaf by
+/// leaf into a second histogram, is the cross-check (DiffAgainstWalk).
+///
+/// The cells live in one flat row-major array (depth rows, occupancy
+/// columns), so copying a histogram — once per published snapshot
+/// version — is a single allocation. Rows and columns grow on demand
+/// (columns by doubling, so a truncated leaf absorbing points one at a
+/// time re-lays the array only logarithmically often) and may keep
+/// trailing zeros; ToCensus skips zero cells.
+class LiveHistogram {
+ public:
+  void Add(size_t depth, size_t occupancy) {
+    if (depth >= depths_ || occupancy >= width_) Grow(depth, occupancy);
+    ++cells_[depth * width_ + occupancy];
+  }
+
+  void Remove(size_t depth, size_t occupancy) {
+    POPAN_DCHECK(At(depth, occupancy) > 0)
+        << "live census underflow at depth" << depth;
+    --cells_[depth * width_ + occupancy];
+  }
+
+  /// The cell count, 0 outside the grown area.
+  uint64_t At(size_t depth, size_t occupancy) const {
+    if (depth >= depths_ || occupancy >= width_) return 0;
+    return cells_[depth * width_ + occupancy];
+  }
+
+  /// The census these counts describe: equal to TakeCensus (or
+  /// TakeBucketCensus) of the structure whenever the histogram is exact.
+  Census ToCensus() const;
+
+  /// OK iff every cell equals the same cell of `walked`, a histogram
+  /// rebuilt by walking the structure; otherwise Internal naming the
+  /// first differing (depth, occupancy) cell.
+  [[nodiscard]] Status DiffAgainstWalk(const LiveHistogram& walked) const;
+
+ private:
+  void Grow(size_t depth, size_t occupancy);
+
+  size_t depths_ = 0;
+  size_t width_ = 0;
+  std::vector<uint64_t> cells_;  // cells_[depth * width_ + occupancy]
 };
 
 /// Takes the census of any structure exposing

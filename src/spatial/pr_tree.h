@@ -5,39 +5,58 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "spatial/batch_stats.h"
-#include "spatial/census.h"
-#include "spatial/knn_heap.h"
 #include "spatial/morton.h"
 #include "spatial/node_arena.h"
-#include "spatial/query_cost.h"
-#include "spatial/soa_buffer.h"
+#include "spatial/pr_core.h"
 #include "util/check.h"
 #include "util/status.h"
-#include "util/statusor.h"
 
 namespace popan::spatial {
 
-/// Configuration of a generalized PR tree.
-struct PrTreeOptions {
-  /// Node capacity m: a leaf splits when it would hold more than this many
-  /// points. m = 1 gives the simple PR quadtree of the paper's §III
-  /// example; the paper's Tables 1–2 sweep m = 1…8.
-  size_t capacity = 1;
+/// The in-place storage policy of PrTreeCore (see pr_core.h): nodes live
+/// in a NodeArena slab addressed by index, are edited where they stand,
+/// and are freed to the arena's free list when a collapse unlinks them.
+/// Commit has nothing to do. Safe only while no reader runs concurrently
+/// with a writer; CowPrTree is the concurrent sibling.
+template <size_t D>
+class ArenaStorage {
+ public:
+  using Node = PrNode<D, /*kPointerLinks=*/false>;
+  using Handle = NodeIndex;
 
-  /// Depth at which splitting stops; a leaf at this depth absorbs points
-  /// beyond `capacity`. The paper's implementation truncated at depth 9
-  /// (the Table 3 anomaly at depth 9 is this artifact). Defaults high
-  /// enough to be effectively unlimited for random real-valued data.
-  size_t max_depth = 64;
+  ArenaStorage() : root_(arena_.Allocate()) {}
+
+  Handle root() const { return root_; }
+  const Node& Get(Handle h) const { return arena_.Get(h); }
+  /// Any node is writable in place. The reference is invalidated by the
+  /// next Allocate (the slab may move); indices are not.
+  Node& Mut(Handle h) { return arena_.Get(h); }
+  Handle Allocate() { return arena_.Allocate(); }
+  Handle MakeWritable(std::span<PrPathStep<Handle>> path, size_t level) {
+    return path[level].node;
+  }
+  void Release(Handle h) { arena_.Free(h); }
+  void Commit(const PrTreeTotals&) {}
+
+  NodeArena<Node>& arena() { return arena_; }
+  const NodeArena<Node>& arena() const { return arena_; }
+
+  /// Drops every node, leaving one empty root leaf.
+  void Clear() {
+    arena_.Clear();
+    root_ = arena_.Allocate();
+  }
+
+ private:
+  NodeArena<Node> arena_;
+  NodeIndex root_;
 };
 
 /// The generalized PR (point-region) tree over D dimensions: a regular
@@ -50,64 +69,43 @@ struct PrTreeOptions {
 /// real-valued random data duplicates are a measure-zero event; the PR
 /// splitting rule counts distinct points).
 ///
+/// PrTree is PrTreeCore (the PR rule: insert, erase, census, invariants)
+/// over in-place ArenaStorage, plus PrTreeReads (the query visitors and
+/// leaf walks) over the arena, plus the arena-only bulk InsertBatch.
 /// Hot-path design (the simulation inner loop is insert/erase + census):
-///  - Leaves store their points structure-of-arrays (SoaBuffer): each
-///    coordinate axis in its own contiguous lane, up to kInlineLeafCapacity
-///    elements inline in the node, spilling to the heap only above the
-///    threshold (large capacities, or truncated leaves at max_depth). The
-///    lane layout lets the range/partial-match visitors filter a whole
-///    leaf with the SIMD point-in-box kernels of util/simd.h — bitwise
-///    identical to the scalar test on every dispatch path.
-///  - Insert/Erase/Contains are iterative (explicit descent loops, the
-///    split cascade as a loop, collapse walking the recorded path), so
-///    deep trees cannot overflow the call stack.
-///  - The tree maintains a live occupancy-by-depth histogram, updated in
-///    O(1) at every insert/erase/split/collapse; LiveCensus() snapshots
-///    it without walking the tree. TakeCensus (a full walk) remains the
-///    independent cross-check, and CheckInvariants verifies both agree.
+///  - Leaves store their points structure-of-arrays (SoaBuffer), so the
+///    range/partial-match visitors filter a whole leaf with the SIMD
+///    kernels of util/simd.h — bitwise identical to the scalar test on
+///    every dispatch path.
+///  - Insert/Erase/Contains and every traversal are iterative, so deep
+///    trees cannot overflow the call stack.
+///  - The live occupancy-by-depth histogram is updated in O(1) at every
+///    insert/erase/split/collapse; LiveCensus() folds it without walking
+///    the tree. TakeCensus (a full walk) remains the independent
+///    cross-check, and CheckInvariants verifies both agree.
 template <size_t D>
-class PrTree {
+class PrTree : public PrTreeCore<ArenaStorage<D>>,
+               public PrTreeReads<PrTree<D>, PrNode<D, false>> {
+  using Core = PrTreeCore<ArenaStorage<D>>;
+
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
   static constexpr size_t kFanout = size_t{1} << D;
-
-  /// Points stored inline per leaf before spilling to the heap; matches
-  /// the paper's largest studied capacity (m = 8).
-  static constexpr size_t kInlineLeafCapacity = 8;
+  static constexpr size_t kInlineLeafCapacity =
+      PrNode<D, false>::kInlineLeafCapacity;
 
   /// Creates an empty tree over the root block `bounds`.
   PrTree(const BoxT& bounds, const PrTreeOptions& options = {})
-      : bounds_(bounds), options_(options) {
-    POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
-    root_ = arena_.Allocate();
-    HistAdd(0, 0);
-  }
+      : Core(bounds, options) {}
 
   PrTree(const PrTree&) = default;
   PrTree& operator=(const PrTree&) = default;
   PrTree(PrTree&&) noexcept = default;
   PrTree& operator=(PrTree&&) noexcept = default;
 
-  /// The root block.
-  const BoxT& bounds() const { return bounds_; }
-
-  /// The configured node capacity m.
-  size_t capacity() const { return options_.capacity; }
-
-  /// The configured truncation depth.
-  size_t max_depth() const { return options_.max_depth; }
-
-  /// Number of points stored.
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Number of leaf nodes (the paper's "nodes": only leaves hold data and
-  /// only leaves are counted in the population censuses).
-  size_t LeafCount() const { return leaf_count_; }
-
   /// Total nodes including internal (gray) nodes.
-  size_t NodeCount() const { return arena_.LiveCount(); }
+  size_t NodeCount() const { return storage_.arena().LiveCount(); }
 
   /// Pre-sizes the arena slab (and the per-tree scratch buffers) for a
   /// tree of roughly `expected_points` points, so bulk loads do not hit
@@ -119,103 +117,10 @@ class PrTree {
     size_t nodes =
         expected_points / std::max<size_t>(1, options_.capacity) * 3 +
         kFanout + 1;
-    arena_.Reserve(nodes);
-    split_points_.reserve(options_.capacity + 1);
-    split_codes_.reserve(options_.capacity + 1);
-    erase_path_.reserve(std::min<size_t>(options_.max_depth + 1, 128));
-  }
-
-  /// Inserts `p`. Returns OutOfRange if p is outside the root block and
-  /// AlreadyExists if an equal point is already stored.
-  [[nodiscard]] Status Insert(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::OutOfRange("point outside the tree bounds");
-    }
-    // Iterative descent to the leaf that owns p.
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    size_t depth = 0;
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-      ++depth;
-    }
-    {
-      Node& leaf = arena_.Get(idx);
-      const size_t n = leaf.points.size();
-      for (size_t i = 0; i < n; ++i) {
-        if (leaf.points.Matches(i, p)) {
-          return Status::AlreadyExists("duplicate point");
-        }
-      }
-      if (n < options_.capacity || depth >= options_.max_depth) {
-        leaf.points.push_back(p);
-        HistRemove(depth, n);
-        HistAdd(depth, n + 1);
-        ++size_;
-        return Status::OK();
-      }
-      // The splitting rule fires: the block would exceed capacity. Stash
-      // the m+1 points in the reusable scratch buffer; the leaf becomes an
-      // internal node below.
-      split_points_.clear();
-      for (size_t i = 0; i < n; ++i) split_points_.push_back(leaf.points.Get(i));
-      split_points_.push_back(p);
-      HistRemove(depth, n);
-    }
-    // Split cascade, iteratively: convert the current leaf into an
-    // internal node with 2^D fresh empty leaves. A child can only exceed
-    // capacity if it receives ALL m+1 points (capacity is m), so at most
-    // one child cascades — when every point lands in the same quadrant
-    // (the paper's "perhaps several times" case with probability 4^-m) —
-    // and the cascade is a simple loop, not a recursion.
-    for (;;) {
-      std::array<NodeIndex, kFanout> ch;
-      for (size_t q = 0; q < kFanout; ++q) ch[q] = arena_.Allocate();
-      {
-        // Re-fetch: the allocations above may have moved the slab.
-        Node& node = arena_.Get(idx);
-        node.is_leaf = false;
-        node.points.clear();
-        node.children = ch;
-      }
-      leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) HistAdd(depth + 1, 0);
-
-      std::array<size_t, kFanout> counts{};
-      split_codes_.clear();
-      for (const PointT& pt : split_points_) {
-        size_t q = box.QuadrantOf(pt);
-        split_codes_.push_back(static_cast<uint8_t>(q));
-        ++counts[q];
-      }
-      size_t sole = kFanout;  // the quadrant holding every point, if any
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] == split_points_.size()) sole = q;
-      }
-      if (sole != kFanout && depth + 1 < options_.max_depth) {
-        idx = ch[sole];
-        box = box.Quadrant(sole);
-        ++depth;
-        HistRemove(depth, 0);  // this fresh leaf becomes internal next turn
-        continue;
-      }
-      // The points scatter (or the children sit at max_depth and absorb
-      // everything): place them and settle the census.
-      for (size_t i = 0; i < split_points_.size(); ++i) {
-        arena_.Get(ch[split_codes_[i]]).points.push_back(split_points_[i]);
-      }
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] != 0) {
-          HistRemove(depth + 1, 0);
-          HistAdd(depth + 1, counts[q]);
-        }
-      }
-      break;
-    }
-    ++size_;
-    return Status::OK();
+    storage_.arena().Reserve(nodes);
+    this->split_points_.reserve(options_.capacity + 1);
+    this->split_codes_.reserve(options_.capacity + 1);
+    this->path_.reserve(std::min<size_t>(options_.max_depth + 1, 128));
   }
 
   /// Bulk insert (the batch hot path). For D = 2 the batch is encoded
@@ -238,466 +143,31 @@ class PrTree {
     if constexpr (D == 2) {
       InsertBatchSorted(batch, &stats);
     } else {
-      for (const PointT& p : batch) AbsorbSingle(Insert(p), &stats);
+      for (const PointT& p : batch) AbsorbSingle(this->Insert(p), &stats);
     }
     return stats;
   }
 
   /// Times the node arena's slab grew mid-allocation (see
   /// NodeArena::GrowthCount) — zero across a well-reserved InsertBatch.
-  size_t ArenaGrowthCount() const { return arena_.GrowthCount(); }
-
-  /// True iff an equal point is stored.
-  bool Contains(const PointT& p) const {
-    if (!bounds_.Contains(p)) return false;
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-    }
-    const Node& leaf = arena_.Get(idx);
-    for (size_t i = 0, n = leaf.points.size(); i < n; ++i) {
-      if (leaf.points.Matches(i, p)) return true;
-    }
-    return false;
-  }
-
-  /// Removes `p`. Returns NotFound if it is not stored. After a removal,
-  /// any chain of internal nodes whose total occupancy fits in one leaf is
-  /// collapsed, so the tree is always the minimal decomposition for its
-  /// contents (insertion order independence — a defining PR property).
-  [[nodiscard]] Status Erase(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::NotFound("point outside the tree bounds");
-    }
-    // Iterative descent recording the path for the collapse walk-back.
-    erase_path_.clear();
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    erase_path_.push_back(idx);
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-      erase_path_.push_back(idx);
-    }
-    Node& leaf = arena_.Get(idx);
-    const size_t n = leaf.points.size();
-    size_t found = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (leaf.points.Matches(i, p)) {
-        found = i;
-        break;
-      }
-    }
-    if (found == n) return Status::NotFound("point not stored");
-    leaf.points.SwapRemoveAt(found);
-    const size_t depth = erase_path_.size() - 1;
-    HistRemove(depth, n);
-    HistAdd(depth, n - 1);
-    --size_;
-    // Collapse deepest-first along the recorded path. Once a level fails
-    // to collapse it stays internal, so no shallower ancestor can have
-    // all-leaf children either — stop there.
-    for (size_t level = depth; level-- > 0;) {
-      if (!TryCollapse(erase_path_[level], level)) break;
-    }
-    return Status::OK();
-  }
-
-  /// Returns all stored points inside `query` (half-open box semantics).
-  std::vector<PointT> RangeQuery(const BoxT& query) const {
-    std::vector<PointT> out;
-    QueryCost cost;
-    RangeQueryVisit(query, &cost, [&out](const PointT& p) {
-      out.push_back(p);
-    });
-    return out;
-  }
-
-  /// Cost-counted orthogonal range search: calls fn(point) for every
-  /// stored point inside `query` (half-open box semantics), in preorder
-  /// quadrant order. Iterative (explicit stack, no recursion) and
-  /// allocation-local: concurrent calls on a shared const tree are safe.
-  /// A node is counted in nodes_visited iff its block intersects the
-  /// query; rejected children count in pruned_subtrees.
-  template <typename Fn>
-  void RangeQueryVisit(const BoxT& query, QueryCost* cost, Fn fn) const {
-    POPAN_DCHECK(cost != nullptr);
-    if (!bounds_.Intersects(query)) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // SIMD point-in-box filter over the leaf's coordinate lanes;
-        // match order and counter arithmetic are identical to the scalar
-        // per-point loop on every dispatch path.
-        cost->points_scanned += node.points.size();
-        ForEachInBox(node.points, query,
-                     [&node, &fn](size_t i) { fn(node.points.Get(i)); });
-        continue;
-      }
-      // Push children in reverse so quadrant 0 pops first (preorder).
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.Intersects(query)) {
-          stack.push_back(WalkFrame{node.children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Cost-counted partial-match search: fixes coordinate `axis` to
-  /// `value` and calls fn(point) for every stored point with
-  /// point[axis] == value. Traverses exactly the blocks whose axis
-  /// interval contains `value` under the half-open rule
-  /// (lo[axis] <= value < hi[axis]); with random real-valued data the
-  /// result set is almost surely empty and the traversal cost IS the
-  /// measurement (the paper-adjacent N^((sqrt(17)-3)/2) law).
-  template <typename Fn>
-  void PartialMatchVisit(size_t axis, double value, QueryCost* cost,
-                         Fn fn) const {
-    POPAN_CHECK(axis < D);
-    POPAN_DCHECK(cost != nullptr);
-    if (value < bounds_.lo()[axis] || value >= bounds_.hi()[axis]) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // SIMD equality filter on the fixed axis lane (same order and
-        // counters as the scalar loop; IEEE == either way).
-        cost->points_scanned += node.points.size();
-        ForEachEqualOnAxis(node.points, axis, value, [&node, &fn](size_t i) {
-          fn(node.points.Get(i));
-        });
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.lo()[axis] <= value && value < child.hi()[axis]) {
-          stack.push_back(WalkFrame{node.children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Returns the stored point nearest to `target` (Euclidean metric), or
-  /// NotFound on an empty tree. Ties broken arbitrarily.
-  [[nodiscard]] StatusOr<PointT> Nearest(const PointT& target) const {
-    if (size_ == 0) return Status::NotFound("tree is empty");
-    QueryCost cost;
-    std::vector<PointT> best = NearestK(target, 1, &cost);
-    POPAN_CHECK(!best.empty());
-    return best[0];
-  }
-
-  /// Returns the k stored points nearest to `target`, ascending by the
-  /// canonical (distance, x, y) key (fewer if the tree holds fewer than
-  /// k). k must be >= 1.
-  std::vector<PointT> NearestK(const PointT& target, size_t k) const {
-    QueryCost cost;
-    return NearestK(target, k, &cost);
-  }
-
-  /// Cost-counted k-nearest-neighbor search. Iterative depth-first
-  /// descent with children pushed far-to-near, so the nearest subtree is
-  /// explored first and the pruning radius (the current k-th best
-  /// distance) tightens as early as possible. Subtrees cut off by the
-  /// radius test — at push or at pop, as the radius shrinks between the
-  /// two — count in pruned_subtrees. Equal-distance ties resolve by the
-  /// canonical coordinate order (knn_heap.h), so the result is
-  /// independent of traversal order and identical across backends.
-  std::vector<PointT> NearestK(const PointT& target, size_t k,
-                               QueryCost* cost) const {
-    POPAN_CHECK(k >= 1);
-    POPAN_DCHECK(cost != nullptr);
-    KnnHeap<PointT, PointTieLess> heap(k);
-    std::vector<DistFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(DistFrame{root_, bounds_,
-                              bounds_.DistanceSquaredTo(target)});
-    while (!stack.empty()) {
-      DistFrame f = stack.back();
-      stack.pop_back();
-      if (heap.ShouldPrune(f.d2)) {
-        ++cost->pruned_subtrees;
-        continue;
-      }
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // Deliberately scalar: the distance accumulation a*a + acc is a
-        // fusable shape the compiler may contract to FMA, so a hand-SIMD
-        // version could not stay bitwise identical (see util/simd.h).
-        for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          heap.Offer(node.points.Get(i).DistanceSquared(target),
-                     node.points.Get(i));
-        }
-        continue;
-      }
-      std::array<std::pair<double, size_t>, kFanout> order;
-      for (size_t q = 0; q < kFanout; ++q) {
-        order[q] = {f.box.Quadrant(q).DistanceSquaredTo(target), q};
-      }
-      std::sort(order.begin(), order.end());
-      // Far-to-near onto the LIFO stack; the nearest child pops first.
-      for (size_t i = kFanout; i-- > 0;) {
-        const auto& [d2, q] = order[i];
-        if (heap.ShouldPrune(d2)) {
-          ++cost->pruned_subtrees;
-          continue;
-        }
-        stack.push_back(DistFrame{node.children[q], f.box.Quadrant(q), d2});
-      }
-    }
-    return heap.TakeSorted();
-  }
-
-  /// Calls fn(box, depth, occupancy) for every leaf in preorder (children
-  /// in quadrant order). Depth of the root is 0; a leaf's block area is
-  /// bounds.Volume() / 2^(D*depth). Explicit-stack traversal: safe for
-  /// trees of any depth.
-  template <typename Fn>
-  void VisitLeaves(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth), node.points.size());
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
-  /// Calls fn(box, depth, is_leaf, occupancy) for every node, preorder.
-  template <typename Fn>
-  void VisitAllNodes(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      fn(f.box, static_cast<size_t>(f.depth), node.is_leaf,
-         node.points.size());
-      if (node.is_leaf) continue;
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
-  /// Returns every stored point (in no particular order).
-  std::vector<PointT> AllPoints() const {
-    std::vector<PointT> out;
-    out.reserve(size_);
-    VisitLeavesPoints(
-        [&out](const BoxT&, size_t, std::span<const PointT> pts) {
-          out.insert(out.end(), pts.begin(), pts.end());
-        });
-    return out;
-  }
-
-  /// Calls fn(box, depth, std::span<const PointT>) for every leaf in
-  /// preorder (children in quadrant order — Z order), exposing the points.
-  /// The span is assembled from the leaf's coordinate lanes into a
-  /// traversal-local scratch buffer and is valid only for the duration of
-  /// the callback.
-  template <typename Fn>
-  void VisitLeavesPoints(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    std::vector<PointT> scratch;
-    scratch.reserve(kInlineLeafCapacity);
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        scratch.clear();
-        for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-          scratch.push_back(node.points.Get(i));
-        }
-        fn(f.box, static_cast<size_t>(f.depth),
-           std::span<const PointT>(scratch.data(), scratch.size()));
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
-  /// Snapshot of the live occupancy-by-depth histogram — the same census
-  /// TakeCensus(tree) walks the tree for, but assembled in O(depths x
-  /// occupancies) independent of the number of points. The histogram is
-  /// maintained incrementally at every insert/erase/split/collapse, so
-  /// per-step censuses cost O(1) bookkeeping per operation instead of an
-  /// O(N) walk per snapshot.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < live_hist_.size(); ++d) {
-      const std::vector<uint64_t>& row = live_hist_[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
+  size_t ArenaGrowthCount() const { return storage_.arena().GrowthCount(); }
 
   /// Removes all points, leaving one empty root leaf.
   void Clear() {
-    arena_.Clear();
-    root_ = arena_.Allocate();
-    size_ = 0;
-    leaf_count_ = 1;
-    live_hist_.clear();
-    HistAdd(0, 0);
-  }
-
-  /// Verifies structural invariants; returns Internal on violation. Used by
-  /// tests and available to callers as a consistency check:
-  ///  - every leaf holds at most `capacity` points unless at max_depth;
-  ///  - every internal node has 2^D children and holds no points;
-  ///  - every point lies inside its leaf's block;
-  ///  - no internal node's subtree fits within `capacity` (minimality);
-  ///  - cached size / leaf counts match reality;
-  ///  - the live census histogram matches a fresh walk of the tree.
-  [[nodiscard]] Status CheckInvariants() const {
-    size_t points_seen = 0;
-    size_t leaves_seen = 0;
-    Status s = CheckRec(root_, bounds_, 0, &points_seen, &leaves_seen);
-    if (!s.ok()) return s;
-    if (points_seen != size_) {
-      return Status::Internal("size mismatch: counted " +
-                              std::to_string(points_seen) + " cached " +
-                              std::to_string(size_));
-    }
-    if (leaves_seen != leaf_count_) {
-      return Status::Internal("leaf count mismatch");
-    }
-    return CheckLiveHistogram();
+    storage_.Clear();
+    this->ResetTotals();
   }
 
  private:
-  struct Node {
-    // A node is a leaf iff is_leaf; then `points` holds its contents.
-    // Otherwise `children` holds 2^D arena indices.
-    bool is_leaf = true;
-    std::array<NodeIndex, kFanout> children = InitChildren();
-    SoaBuffer<D, kInlineLeafCapacity> points;
+  using Node = PrNode<D, false>;
+  friend class PrTreeReads<PrTree, Node>;
+  using Core::bounds_;
+  using Core::options_;
+  using Core::storage_;
+  using Core::totals_;
 
-    static constexpr std::array<NodeIndex, kFanout> InitChildren() {
-      std::array<NodeIndex, kFanout> c{};
-      for (size_t i = 0; i < kFanout; ++i) c[i] = kNullNode;
-      return c;
-    }
-  };
-
-  /// Explicit-stack frame for the traversal methods.
-  struct WalkFrame {
-    NodeIndex idx;
-    BoxT box;
-    uint32_t depth;
-  };
-  /// Frame for the best-first k-NN descent: the block's distance² to the
-  /// target is computed at push time and re-checked at pop time, because
-  /// the pruning radius may have shrunk in between.
-  struct DistFrame {
-    NodeIndex idx;
-    BoxT box;
-    double d2;
-  };
-  static constexpr size_t kWalkStackHint = 64;
-
-  // ---- Live census bookkeeping -------------------------------------
-  // live_hist_[depth][occ] = number of leaves at `depth` holding exactly
-  // `occ` points, kept exact through every mutation. Rows/columns are
-  // grown on demand and may retain trailing zeros after collapses;
-  // LiveCensus() skips the zeros, so the snapshot matches TakeCensus.
-
-  void HistAdd(size_t depth, size_t occ) {
-    if (depth >= live_hist_.size()) live_hist_.resize(depth + 1);
-    std::vector<uint64_t>& row = live_hist_[depth];
-    if (occ >= row.size()) row.resize(occ + 1, 0);
-    ++row[occ];
-  }
-
-  void HistRemove(size_t depth, size_t occ) {
-    POPAN_DCHECK(depth < live_hist_.size() &&
-                 occ < live_hist_[depth].size() &&
-                 live_hist_[depth][occ] > 0)
-        << "live census underflow at depth" << depth;
-    --live_hist_[depth][occ];
-  }
-
-  [[nodiscard]] Status CheckLiveHistogram() const {
-    std::vector<std::vector<uint64_t>> walked;
-    VisitLeaves([&walked](const BoxT&, size_t depth, size_t occ) {
-      if (depth >= walked.size()) walked.resize(depth + 1);
-      if (occ >= walked[depth].size()) walked[depth].resize(occ + 1, 0);
-      ++walked[depth][occ];
-    });
-    size_t depths = std::max(walked.size(), live_hist_.size());
-    for (size_t d = 0; d < depths; ++d) {
-      size_t occs = std::max(d < walked.size() ? walked[d].size() : 0,
-                             d < live_hist_.size() ? live_hist_[d].size()
-                                                   : 0);
-      for (size_t occ = 0; occ < occs; ++occ) {
-        uint64_t want = d < walked.size() && occ < walked[d].size()
-                            ? walked[d][occ]
-                            : 0;
-        uint64_t have = d < live_hist_.size() && occ < live_hist_[d].size()
-                            ? live_hist_[d][occ]
-                            : 0;
-        if (want != have) {
-          return Status::Internal(
-              "live census drift at depth " + std::to_string(d) +
-              " occupancy " + std::to_string(occ) + ": walked " +
-              std::to_string(want) + " live " + std::to_string(have));
-        }
-      }
-    }
-    return Status::OK();
-  }
+  NodeIndex RootHandle() const { return storage_.root(); }
+  const Node& NodeAt(NodeIndex h) const { return storage_.Get(h); }
 
   // ---- Bulk insert (see InsertBatch) -------------------------------
 
@@ -738,7 +208,7 @@ class PrTree {
         ++runs;
       }
     }
-    arena_.ReserveAdditional(runs * 8 / 3 + kFanout + 8);
+    storage_.arena().ReserveAdditional(runs * 8 / 3 + kFanout + 8);
   }
 
   /// The D = 2 bulk path. Every structural decision is driven by the
@@ -813,7 +283,7 @@ class PrTree {
     ReserveForBatch(recs);
     const size_t sn = recs.size();
 
-    const size_t size_before = size_;
+    const size_t size_before = totals_.size;
     std::vector<PointT> fallback;
     std::vector<PointT> ex_pts;
     std::vector<uint64_t> ex_codes;
@@ -822,10 +292,10 @@ class PrTree {
     size_t i = 0;
     while (i < sn) {
       // Descend by code fields straight to the leaf owning recs[i].
-      NodeIndex idx = root_;
+      NodeIndex idx = storage_.root();
       size_t depth = 0;
       for (;;) {
-        const Node& node = arena_.Get(idx);
+        const Node& node = storage_.Get(idx);
         if (node.is_leaf) break;
         if (depth >= cd) {
           idx = kNullNode;
@@ -853,7 +323,7 @@ class PrTree {
         e = i + 1;
         while (e < sn && recs[e].code < hi) ++e;
       }
-      Node& leaf = arena_.Get(idx);
+      Node& leaf = storage_.Mut(idx);
       const size_t old_occ = leaf.points.size();
       if (old_occ == 0) {
         // Empty leaf: the deduplicated run IS the merged span — fill or
@@ -861,14 +331,14 @@ class PrTree {
         const size_t total = e - i;
         if (total <= options_.capacity || depth >= options_.max_depth) {
           for (size_t j = i; j < e; ++j) leaf.points.push_back(recs[j].pt);
-          HistRemove(depth, 0);
-          HistAdd(depth, total);
-          size_ += total;
+          totals_.hist.Remove(depth, 0);
+          totals_.hist.Add(depth, total);
+          totals_.size += total;
         } else {
-          HistRemove(depth, 0);
+          totals_.hist.Remove(depth, 0);
           const size_t placed =
               BuildSubtreeFromRun(idx, depth, cd, i, e, recs, &fallback);
-          size_ += placed;
+          totals_.size += placed;
         }
         i = e;
         continue;
@@ -935,27 +405,27 @@ class PrTree {
       if (total <= options_.capacity || depth >= options_.max_depth) {
         leaf.points.clear();
         for (size_t j = 0; j < total; ++j) leaf.points.push_back(merged[j].pt);
-        HistRemove(depth, old_occ);
-        HistAdd(depth, total);
-        size_ += total - old_occ;
+        totals_.hist.Remove(depth, old_occ);
+        totals_.hist.Add(depth, total);
+        totals_.size += total - old_occ;
       } else {
         // Finalise: rebuild this leaf's subtree from the merged span.
-        HistRemove(depth, old_occ);
+        totals_.hist.Remove(depth, old_occ);
         leaf.points.clear();
         const size_t placed = BuildSubtreeFromRun(
             idx, depth, cd, 0, total, merged, &fallback);
-        size_ -= old_occ;
-        size_ += placed;
+        totals_.size -= old_occ;
+        totals_.size += placed;
       }
       i = e;
     }
     // Deep identical-code clusters (a measure-zero event for real-valued
     // data) finish on the scalar path.
     for (const PointT& p : fallback) {
-      const Status s = Insert(p);
+      const Status s = this->Insert(p);
       if (!s.ok()) ++stats->duplicates;
     }
-    stats->inserted += size_ - size_before;
+    stats->inserted += totals_.size - size_before;
   }
 
   /// Builds the minimal subtree for merged[b, e) under `idx`, which must
@@ -970,26 +440,26 @@ class PrTree {
                              std::vector<PointT>* fallback) {
     const size_t count = e - b;
     if (count <= options_.capacity || depth >= options_.max_depth) {
-      Node& node = arena_.Get(idx);
+      Node& node = storage_.Mut(idx);
       for (size_t j = b; j < e; ++j) node.points.push_back(recs[j].pt);
-      HistAdd(depth, count);
+      totals_.hist.Add(depth, count);
       return count;
     }
     if (depth >= cd) {
-      HistAdd(depth, 0);
+      totals_.hist.Add(depth, 0);
       for (size_t j = b; j < e; ++j) fallback->push_back(recs[j].pt);
       return 0;
     }
     std::array<NodeIndex, kFanout> ch;
-    for (size_t q = 0; q < kFanout; ++q) ch[q] = arena_.Allocate();
+    for (size_t q = 0; q < kFanout; ++q) ch[q] = storage_.Allocate();
     {
       // Re-fetch: the allocations above may have moved the slab.
-      Node& node = arena_.Get(idx);
+      Node& node = storage_.Mut(idx);
       node.is_leaf = false;
       node.points.clear();
       node.children = ch;
     }
-    leaf_count_ += kFanout - 1;
+    totals_.leaf_count += kFanout - 1;
     const int shift =
         2 * (static_cast<int>(MortonCode::kMaxDepth) - 1 -
              static_cast<int>(depth));
@@ -1007,102 +477,6 @@ class PrTree {
     POPAN_DCHECK(s == e);
     return placed;
   }
-
-  /// If all children of internal node `idx` (at `depth`) are leaves and
-  /// their total occupancy fits in one leaf, merge them back into `idx`.
-  /// Returns true iff the node collapsed.
-  bool TryCollapse(NodeIndex idx, size_t depth) {
-    Node& node = arena_.Get(idx);
-    POPAN_DCHECK(!node.is_leaf);
-    size_t total = 0;
-    for (size_t q = 0; q < kFanout; ++q) {
-      const Node& child = arena_.Get(node.children[q]);
-      if (!child.is_leaf) return false;
-      total += child.points.size();
-    }
-    if (total > options_.capacity) return false;
-    std::array<NodeIndex, kFanout> ch = node.children;
-    node.is_leaf = true;
-    node.points.clear();
-    for (size_t q = 0; q < kFanout; ++q) node.children[q] = kNullNode;
-    for (size_t q = 0; q < kFanout; ++q) {
-      // Freeing a slot never moves the slab, so `node` stays valid.
-      Node& child = arena_.Get(ch[q]);
-      HistRemove(depth + 1, child.points.size());
-      for (size_t i = 0, n = child.points.size(); i < n; ++i) {
-        node.points.push_back(child.points.Get(i));
-      }
-      arena_.Free(ch[q]);
-    }
-    HistAdd(depth, total);
-    leaf_count_ -= kFanout - 1;
-    return true;
-  }
-
-  [[nodiscard]] Status CheckRec(NodeIndex idx, const BoxT& box, size_t depth,
-                  size_t* points_seen, size_t* leaves_seen) const {
-    const Node& node = arena_.Get(idx);
-    if (node.is_leaf) {
-      ++*leaves_seen;
-      *points_seen += node.points.size();
-      if (node.points.size() > options_.capacity &&
-          depth < options_.max_depth) {
-        return Status::Internal("leaf over capacity below max depth");
-      }
-      for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-        PointT p = node.points.Get(i);
-        if (!box.Contains(p)) {
-          return Status::Internal("point " + p.ToString() +
-                                  " outside its leaf block " +
-                                  box.ToString());
-        }
-      }
-      return Status::OK();
-    }
-    if (!node.points.empty()) {
-      return Status::Internal("internal node holds points");
-    }
-    size_t subtree_points = 0;
-    for (size_t q = 0; q < kFanout; ++q) {
-      if (node.children[q] == kNullNode) {
-        return Status::Internal("internal node with missing child");
-      }
-      size_t before = *points_seen;
-      POPAN_RETURN_IF_ERROR(CheckRec(node.children[q], box.Quadrant(q),
-                                     depth + 1, points_seen, leaves_seen));
-      subtree_points += *points_seen - before;
-    }
-    // Minimality: an internal node whose whole subtree fits in a leaf
-    // should have been collapsed (PR trees are canonical for a point set).
-    if (subtree_points <= options_.capacity) {
-      bool all_leaf_children = true;
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (!arena_.Get(node.children[q]).is_leaf) {
-          all_leaf_children = false;
-          break;
-        }
-      }
-      if (all_leaf_children) {
-        return Status::Internal("non-minimal decomposition: " +
-                                std::to_string(subtree_points) +
-                                " points under an internal node");
-      }
-    }
-    return Status::OK();
-  }
-
-  BoxT bounds_;
-  PrTreeOptions options_;
-  NodeArena<Node> arena_;
-  NodeIndex root_ = kNullNode;
-  size_t size_ = 0;
-  size_t leaf_count_ = 1;
-  std::vector<std::vector<uint64_t>> live_hist_;
-  // Reusable scratch buffers so the insert/erase hot paths are
-  // allocation-free after warm-up.
-  std::vector<PointT> split_points_;
-  std::vector<uint8_t> split_codes_;
-  std::vector<NodeIndex> erase_path_;
 };
 
 /// Convenience aliases for the common dimensions.

@@ -2,451 +2,140 @@
 #define POPAN_SPATIAL_SNAPSHOT_VIEW_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "geometry/box.h"
-#include "geometry/point.h"
 #include "spatial/census.h"
 #include "spatial/epoch.h"
-#include "spatial/inline_buffer.h"
-#include "spatial/knn_heap.h"
-#include "spatial/pr_tree.h"
-#include "spatial/query_cost.h"
+#include "spatial/pr_core.h"
 #include "util/check.h"
-#include "util/simd.h"
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace popan::spatial {
 
 template <size_t D>
 class SnapshotView;
 
-/// A copy-on-write PR tree for single-writer / multi-reader workloads:
-/// the concurrent sibling of PrTree<D>, with the same splitting rule,
-/// collapse rule, census bookkeeping, and boundary semantics — verified
-/// bitwise against it by the snapshot-consistency tests.
+/// The path-copying storage policy of PrTreeCore (see pr_core.h): a
+/// published node is never modified. MakeWritable copies the recorded
+/// root-to-leaf path top-down on first use, relinking each copy into its
+/// copied parent, and queues the originals for retirement; nodes the
+/// operation itself created (copies and allocations) are freed at once
+/// when released, anything a reader might still reach is retired through
+/// the epoch manager. Commit publishes the new root, with the tree totals,
+/// as the next immutable Version in one atomic head store, retires the
+/// replaced version and nodes, and advances the epoch.
 ///
-/// Where PrTree mutates nodes in place (safe only with writers stopped),
-/// CowPrTree never modifies a published node: every Insert/Erase builds
-/// fresh copies of the root-to-leaf path (plus the split or collapse
-/// subtree), then publishes the new root inside a new immutable Version
-/// with one atomic store. Readers pin an epoch and load the version head
-/// (SnapshotView); from then on they traverse a frozen tree that no
-/// writer will ever touch, so queries never block and never see a torn
-/// state. Replaced nodes and versions retire into the epoch limbo list
-/// and are freed only once no pinned reader can reach them (epoch.h has
-/// the full memory-ordering argument).
-///
-/// Each Version carries the occupancy-by-depth histogram at its sequence
-/// number, so SnapshotView::LiveCensus() is O(depths x occupancies) and
-/// bitwise identical to a stop-the-world census of the same prefix of
-/// operations — the storm tests' core assertion.
-///
-/// Threading contract: Insert/Erase/CheckInvariants/destructor on the
-/// single writer thread; Snapshot() and everything on SnapshotView from
-/// any thread. The tree must outlive every SnapshotView taken from it.
+/// Writer-thread only, except head loads by Snapshot (see epoch.h for the
+/// memory-ordering argument).
 template <size_t D>
-class CowPrTree {
+class PathCopyStorage {
  public:
-  using PointT = geo::Point<D>;
-  using BoxT = geo::Box<D>;
-  static constexpr size_t kFanout = size_t{1} << D;
-  static constexpr size_t kInlineLeafCapacity = PrTree<D>::kInlineLeafCapacity;
-
-  /// Creates an empty tree over `bounds`. `initial_sequence` anchors the
-  /// version counter — pass the WAL/checkpoint sequence the starting
-  /// state reflects (0 for an empty tree) so snapshot sequence numbers
-  /// line up with log sequence numbers. `epoch_readers` sizes the
-  /// epoch manager's reader-slot table (concurrent pinned snapshots);
-  /// the shard router sizes per-shard trees to its client budget.
-  explicit CowPrTree(const BoxT& bounds, const PrTreeOptions& options = {},
-                     uint64_t initial_sequence = 0,
-                     size_t epoch_readers = EpochManager::kMaxReaders)
-      : bounds_(bounds), options_(options), epochs_(epoch_readers) {
-    POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
-    HistAdd(0, 0);
-    Version* v = new Version;
-    v->root = new Node;
-    v->sequence = initial_sequence;
-    v->size = 0;
-    v->leaf_count = 1;
-    v->hist = hist_;
-    head_.store(v, std::memory_order_seq_cst);
-  }
-
-  ~CowPrTree() {
-    const Version* v = head_.load(std::memory_order_relaxed);
-    DeleteSubtree(v->root);
-    delete v;
-    // epochs_'s destructor drains the limbo list.
-  }
-
-  CowPrTree(const CowPrTree&) = delete;
-  CowPrTree& operator=(const CowPrTree&) = delete;
-
-  const BoxT& bounds() const { return bounds_; }
-  size_t capacity() const { return options_.capacity; }
-  size_t max_depth() const { return options_.max_depth; }
-
-  /// Writer-side view of the newest version.
-  uint64_t sequence() const {
-    return head_.load(std::memory_order_relaxed)->sequence;
-  }
-  size_t size() const { return head_.load(std::memory_order_relaxed)->size; }
-  bool empty() const { return size() == 0; }
-  size_t LeafCount() const {
-    return head_.load(std::memory_order_relaxed)->leaf_count;
-  }
-
-  /// Writer-side census of the newest version — the same histogram fold
-  /// SnapshotView::LiveCensus performs, without pinning a reader slot.
-  /// O(depths x occupancies); this is what lets the shard balancer poll
-  /// every shard's census per rebalance check without touching points.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < hist_.size(); ++d) {
-      const std::vector<uint64_t>& row = hist_[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
-
-  /// The reclamation machinery, exposed for storm harnesses and benches
-  /// (counters from any thread; Retire/Advance/Reclaim writer-only).
-  EpochManager& epochs() const { return epochs_; }
-
-  /// Pins the current epoch and returns a frozen view of the newest
-  /// published version. Any thread; the view holds its pin until
-  /// destroyed, which is what keeps its nodes out of reclamation.
-  /// Aborts when all reader slots are taken — use TrySnapshot where slot
-  /// exhaustion is load, not a bug.
-  [[nodiscard]] SnapshotView<D> Snapshot() const;
-
-  /// Like Snapshot, but returns ResourceExhausted instead of aborting
-  /// when every EpochManager reader slot is pinned — the form server
-  /// connection handlers must use, shedding the request on error.
-  [[nodiscard]] StatusOr<SnapshotView<D>> TrySnapshot() const;
-
-  /// Inserts `p`, publishing a new version (sequence + 1) on success.
-  /// OutOfRange outside the root block, AlreadyExists for a duplicate;
-  /// failed inserts publish nothing.
-  [[nodiscard]] Status Insert(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::OutOfRange("point outside the tree bounds");
-    }
-    const Version* cur = head_.load(std::memory_order_relaxed);
-    path_.clear();
-    const Node* leaf = cur->root;
-    BoxT box = bounds_;
-    size_t depth = 0;
-    while (!leaf->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      path_.push_back(PathEntry{leaf, q});
-      leaf = leaf->children[q];
-      box = box.Quadrant(q);
-      ++depth;
-    }
-    const size_t n = leaf->points.size();
-    {
-      const PointT* pts = leaf->points.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (pts[i] == p) return Status::AlreadyExists("duplicate point");
-      }
-    }
-    to_retire_.clear();
-    to_retire_.push_back(leaf);
-    Node* replacement;
-    if (n < options_.capacity || depth >= options_.max_depth) {
-      replacement = new Node(*leaf);
-      replacement->points.push_back(p);
-      HistRemove(depth, n);
-      HistAdd(depth, n + 1);
-    } else {
-      // The splitting rule fires: stash the m+1 points and grow a fresh
-      // subtree in their place (same cascade arithmetic as PrTree).
-      split_points_.clear();
-      split_points_.insert(split_points_.end(), leaf->points.begin(),
-                           leaf->points.end());
-      split_points_.push_back(p);
-      HistRemove(depth, n);
-      replacement = BuildSplitSubtree(box, depth);
-    }
-    ++size_;
-    Publish(RebuildPath(replacement));
-    return Status::OK();
-  }
-
-  /// Removes `p`, publishing a new version (sequence + 1) on success.
-  /// NotFound when it is not stored; failed erases publish nothing.
-  /// Collapses merged leaves exactly like PrTree::Erase, so the published
-  /// tree is always the canonical minimal decomposition.
-  [[nodiscard]] Status Erase(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::NotFound("point outside the tree bounds");
-    }
-    const Version* cur = head_.load(std::memory_order_relaxed);
-    path_.clear();
-    const Node* leaf = cur->root;
-    BoxT box = bounds_;
-    while (!leaf->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      path_.push_back(PathEntry{leaf, q});
-      leaf = leaf->children[q];
-      box = box.Quadrant(q);
-    }
-    const size_t n = leaf->points.size();
-    size_t found = n;
-    {
-      const PointT* pts = leaf->points.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (pts[i] == p) {
-          found = i;
-          break;
-        }
-      }
-    }
-    if (found == n) return Status::NotFound("point not stored");
-    const size_t depth = path_.size();
-    to_retire_.clear();
-    to_retire_.push_back(leaf);
-    Node* child = new Node(*leaf);
-    child->points.SwapRemoveAt(found);
-    HistRemove(depth, n);
-    HistAdd(depth, n - 1);
-    --size_;
-    // Walk back up, merging any chain of all-leaf siblings that fits in
-    // one leaf (deepest first; once a level fails, no shallower level can
-    // collapse either), then path-copying the rest.
-    Node* root = child;
-    bool collapsing = true;
-    for (size_t level = path_.size(); level-- > 0;) {
-      const Node* parent = path_[level].node;
-      const size_t q = path_[level].quadrant;
-      if (collapsing && root->is_leaf) {
-        size_t total = root->points.size();
-        bool all_leaves = true;
-        for (size_t qq = 0; qq < kFanout && all_leaves; ++qq) {
-          if (qq == q) continue;
-          const Node* sibling = parent->children[qq];
-          if (!sibling->is_leaf) {
-            all_leaves = false;
-          } else {
-            total += sibling->points.size();
-          }
-        }
-        if (all_leaves && total <= options_.capacity) {
-          Node* merged = new Node;
-          for (size_t qq = 0; qq < kFanout; ++qq) {
-            const Node* source = qq == q ? root : parent->children[qq];
-            for (const PointT& pt : source->points) {
-              merged->points.push_back(pt);
-            }
-            HistRemove(level + 1, source->points.size());
-            if (qq != q) to_retire_.push_back(parent->children[qq]);
-          }
-          HistAdd(level, total);
-          leaf_count_ -= kFanout - 1;
-          to_retire_.push_back(parent);
-          delete root;  // fresh this operation, never published
-          root = merged;
-          continue;
-        }
-        collapsing = false;
-      }
-      Node* copy = new Node(*parent);
-      copy->children[q] = root;
-      to_retire_.push_back(parent);
-      root = copy;
-    }
-    Publish(root);
-    return Status::OK();
-  }
-
-  /// Verifies the newest version against a fresh walk: structural PR
-  /// invariants, cached size/leaf counts, and the per-version census
-  /// histogram. Writer thread only.
-  [[nodiscard]] Status CheckInvariants() const {
-    const Version* v = head_.load(std::memory_order_relaxed);
-    size_t points_seen = 0;
-    size_t leaves_seen = 0;
-    std::vector<std::vector<uint64_t>> walked;
-    Status s = CheckNode(v->root, bounds_, 0, &points_seen, &leaves_seen,
-                         &walked);
-    if (!s.ok()) return s;
-    if (points_seen != v->size) {
-      return Status::Internal("size mismatch: counted " +
-                              std::to_string(points_seen) + " cached " +
-                              std::to_string(v->size));
-    }
-    if (leaves_seen != v->leaf_count) {
-      return Status::Internal("leaf count mismatch");
-    }
-    size_t depths = std::max(walked.size(), v->hist.size());
-    for (size_t d = 0; d < depths; ++d) {
-      size_t occs = std::max(d < walked.size() ? walked[d].size() : 0,
-                             d < v->hist.size() ? v->hist[d].size() : 0);
-      for (size_t occ = 0; occ < occs; ++occ) {
-        uint64_t want =
-            d < walked.size() && occ < walked[d].size() ? walked[d][occ] : 0;
-        uint64_t have =
-            d < v->hist.size() && occ < v->hist[d].size() ? v->hist[d][occ]
-                                                          : 0;
-        if (want != have) {
-          return Status::Internal(
-              "version census drift at depth " + std::to_string(d) +
-              " occupancy " + std::to_string(occ));
-        }
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  friend class SnapshotView<D>;
-
-  /// An immutable tree node. Never modified after the version holding it
-  /// is published; freed through the epoch limbo list when replaced.
-  struct Node {
-    bool is_leaf = true;
-    std::array<const Node*, kFanout> children = InitChildren();
-    InlineBuffer<PointT, kInlineLeafCapacity> points;
-
-    static constexpr std::array<const Node*, kFanout> InitChildren() {
-      return std::array<const Node*, kFanout>{};
-    }
-  };
+  using Node = PrNode<D, /*kPointerLinks=*/true>;
+  using Handle = const Node*;
 
   /// One published state of the tree: the version header readers pin.
   /// Immutable after the head store that publishes it.
   struct Version {
     const Node* root = nullptr;
     uint64_t sequence = 0;
-    size_t size = 0;
-    size_t leaf_count = 1;
-    /// hist[depth][occ] = leaves at `depth` holding `occ` points — the
-    /// same live census PrTree maintains, frozen per version.
-    std::vector<std::vector<uint64_t>> hist;
+    PrTreeTotals totals;
   };
 
-  struct PathEntry {
-    const Node* node;
-    size_t quadrant;
-  };
+  explicit PathCopyStorage(size_t epoch_readers)
+      : epochs_(epoch_readers), root_(new Node) {}
 
-  void HistAdd(size_t depth, size_t occ) {
-    if (depth >= hist_.size()) hist_.resize(depth + 1);
-    std::vector<uint64_t>& row = hist_[depth];
-    if (occ >= row.size()) row.resize(occ + 1, 0);
-    ++row[occ];
+  ~PathCopyStorage() {
+    DeleteSubtree(root_);
+    delete head_.load(std::memory_order_relaxed);
+    // epochs_'s destructor drains the limbo list.
   }
 
-  void HistRemove(size_t depth, size_t occ) {
-    POPAN_DCHECK(depth < hist_.size() && occ < hist_[depth].size() &&
-                 hist_[depth][occ] > 0)
-        << "version census underflow at depth" << depth;
-    --hist_[depth][occ];
-  }
+  PathCopyStorage(const PathCopyStorage&) = delete;
+  PathCopyStorage& operator=(const PathCopyStorage&) = delete;
 
-  /// Grows the replacement subtree for a split at (`box`, `depth`) from
-  /// the m+1 points in split_points_. Same cascade loop and histogram
-  /// arithmetic as PrTree::Insert; all nodes are fresh.
-  Node* BuildSplitSubtree(BoxT box, size_t depth) {
-    Node* top = nullptr;
-    Node* pending_parent = nullptr;
-    size_t pending_quadrant = 0;
-    for (;;) {
-      split_codes_.clear();
-      std::array<size_t, kFanout> counts{};
-      for (const PointT& pt : split_points_) {
-        size_t q = box.QuadrantOf(pt);
-        split_codes_.push_back(static_cast<uint8_t>(q));
-        ++counts[q];
-      }
-      size_t sole = kFanout;
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] == split_points_.size()) sole = q;
-      }
-      Node* internal = new Node;
-      internal->is_leaf = false;
-      if (pending_parent == nullptr) {
-        top = internal;
+  Handle root() const { return root_; }
+  static const Node& Get(Handle h) { return *h; }
+  Node& Mut(Handle h) {
+    POPAN_DCHECK(std::find(fresh_.begin(), fresh_.end(), h) != fresh_.end())
+        << "write to a published node";
+    // Every node is allocated non-const; only unpublished ones get here.
+    return *const_cast<Node*>(h);
+  }
+  Handle Allocate() {
+    Node* node = new Node;
+    fresh_.push_back(node);
+    return node;
+  }
+  Handle MakeWritable(std::span<PrPathStep<Handle>> path, size_t level) {
+    for (; copied_levels_ <= level; ++copied_levels_) {
+      PrPathStep<Handle>& step = path[copied_levels_];
+      Node* copy = new Node(*step.node);
+      to_retire_.push_back(step.node);
+      fresh_.push_back(copy);
+      if (copied_levels_ == 0) {
+        root_ = copy;
       } else {
-        pending_parent->children[pending_quadrant] = internal;
+        const PrPathStep<Handle>& parent = path[copied_levels_ - 1];
+        Mut(parent.node).children[parent.quadrant] = copy;
       }
-      leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) HistAdd(depth + 1, 0);
-      if (sole != kFanout && depth + 1 < options_.max_depth) {
-        for (size_t q = 0; q < kFanout; ++q) {
-          if (q != sole) internal->children[q] = new Node;
-        }
-        HistRemove(depth + 1, 0);  // the sole child becomes internal
-        pending_parent = internal;
-        pending_quadrant = sole;
-        box = box.Quadrant(sole);
-        ++depth;
-        continue;
-      }
-      std::array<Node*, kFanout> ch;
-      for (size_t q = 0; q < kFanout; ++q) {
-        ch[q] = new Node;
-        internal->children[q] = ch[q];
-      }
-      for (size_t i = 0; i < split_points_.size(); ++i) {
-        ch[split_codes_[i]]->points.push_back(split_points_[i]);
-      }
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] != 0) {
-          HistRemove(depth + 1, 0);
-          HistAdd(depth + 1, counts[q]);
-        }
-      }
-      return top;
+      step.node = copy;
     }
+    return path[level].node;
+  }
+  void Release(Handle h) {
+    auto it = std::find(fresh_.begin(), fresh_.end(), h);
+    if (it == fresh_.end()) {
+      to_retire_.push_back(h);
+      return;
+    }
+    *it = fresh_.back();
+    fresh_.pop_back();
+    delete h;  // created by this operation, never published
   }
 
-  /// Path-copies the recorded ancestors around `replacement` (the new
-  /// subtree at the descent leaf), retiring the replaced originals.
-  Node* RebuildPath(Node* replacement) {
-    Node* child = replacement;
-    for (size_t level = path_.size(); level-- > 0;) {
-      Node* copy = new Node(*path_[level].node);
-      copy->children[path_[level].quadrant] = child;
-      to_retire_.push_back(path_[level].node);
-      child = copy;
-    }
-    return child;
+  /// Publishes the first version, at `sequence`, over the empty root.
+  void PublishInitial(uint64_t sequence, const PrTreeTotals& totals) {
+    head_.store(new Version{root_, sequence, totals},
+                std::memory_order_seq_cst);
   }
 
-  /// Publishes `new_root` as the next version and retires everything the
-  /// operation unlinked. One epoch advance + reclaim attempt per publish
-  /// keeps the limbo list short and the reclamation counters a pure
-  /// function of the operation trace when no readers are pinned.
-  void Publish(Node* new_root) {
+  /// Publishes the mutated tree as the next version and retires
+  /// everything the operation unlinked. One epoch advance + reclaim
+  /// attempt per publish keeps the limbo list short and the reclamation
+  /// counters a pure function of the operation trace when no readers are
+  /// pinned.
+  void Commit(const PrTreeTotals& totals) {
     const Version* old = head_.load(std::memory_order_relaxed);
-    Version* v = new Version;
-    v->root = new_root;
-    v->sequence = old->sequence + 1;
-    v->size = size_;
-    v->leaf_count = leaf_count_;
-    v->hist = hist_;
-    head_.store(v, std::memory_order_seq_cst);
+    head_.store(new Version{root_, old->sequence + 1, totals},
+                std::memory_order_seq_cst);
     epochs_.RetireObject(old);
     for (const Node* node : to_retire_) epochs_.RetireObject(node);
     to_retire_.clear();
+    fresh_.clear();
+    copied_levels_ = 0;
     epochs_.AdvanceEpoch();
     epochs_.Reclaim();
   }
 
+  /// The newest version, writer side (relaxed: the writer wrote it).
+  const Version* head() const { return head_.load(std::memory_order_relaxed); }
+
+  /// The newest version, reader side. Load it only after pinning an
+  /// epoch: the pin then protects every node reachable from it (epoch.h).
+  const Version* PinnedHead() const {
+    return head_.load(std::memory_order_seq_cst);
+  }
+
+  EpochManager& epochs() const { return epochs_; }
+
+ private:
   static void DeleteSubtree(const Node* root) {
     std::vector<const Node*> stack;
     stack.push_back(root);
@@ -454,87 +143,105 @@ class CowPrTree {
       const Node* node = stack.back();
       stack.pop_back();
       if (!node->is_leaf) {
-        for (size_t q = 0; q < kFanout; ++q) {
-          stack.push_back(node->children[q]);
-        }
+        stack.insert(stack.end(), node->children.begin(),
+                     node->children.end());
       }
       delete node;
     }
   }
 
-  [[nodiscard]] Status CheckNode(
-      const Node* node, const BoxT& box, size_t depth, size_t* points_seen,
-      size_t* leaves_seen, std::vector<std::vector<uint64_t>>* walked) const {
-    if (node->is_leaf) {
-      ++*leaves_seen;
-      *points_seen += node->points.size();
-      if (depth >= walked->size()) walked->resize(depth + 1);
-      std::vector<uint64_t>& row = (*walked)[depth];
-      if (node->points.size() >= row.size()) {
-        row.resize(node->points.size() + 1, 0);
-      }
-      ++row[node->points.size()];
-      if (node->points.size() > options_.capacity &&
-          depth < options_.max_depth) {
-        return Status::Internal("leaf over capacity below max depth");
-      }
-      for (const PointT& p : node->points) {
-        if (!box.Contains(p)) {
-          return Status::Internal("point outside its leaf block");
-        }
-      }
-      return Status::OK();
-    }
-    if (!node->points.empty()) {
-      return Status::Internal("internal node holds points");
-    }
-    size_t before = *points_seen;
-    bool all_leaf_children = true;
-    for (size_t q = 0; q < kFanout; ++q) {
-      if (node->children[q] == nullptr) {
-        return Status::Internal("internal node with missing child");
-      }
-      if (!node->children[q]->is_leaf) all_leaf_children = false;
-      POPAN_RETURN_IF_ERROR(CheckNode(node->children[q], box.Quadrant(q),
-                                      depth + 1, points_seen, leaves_seen,
-                                      walked));
-    }
-    if (*points_seen - before <= options_.capacity && all_leaf_children) {
-      return Status::Internal("non-minimal decomposition under an internal "
-                              "node");
-    }
-    return Status::OK();
-  }
-
-  BoxT bounds_;
-  PrTreeOptions options_;
   mutable EpochManager epochs_;
   std::atomic<const Version*> head_{nullptr};
-  // Writer-side working state, mirrored into each published Version.
-  size_t size_ = 0;
-  size_t leaf_count_ = 1;
-  std::vector<std::vector<uint64_t>> hist_;
-  // Reusable writer scratch.
-  std::vector<PathEntry> path_;
+  // The writer's current root: the head's, or its copy mid-operation.
+  const Node* root_;
+  // Per-operation state, reset by Commit: originals to retire, nodes this
+  // operation created, and how many leading path levels are copies.
   std::vector<const Node*> to_retire_;
-  std::vector<PointT> split_points_;
-  std::vector<uint8_t> split_codes_;
+  std::vector<const Node*> fresh_;
+  size_t copied_levels_ = 0;
+};
+
+/// A copy-on-write PR tree for single-writer / multi-reader workloads:
+/// PrTreeCore — the same splitting rule, collapse rule, census
+/// bookkeeping and boundary semantics as PrTree, by construction — over
+/// PathCopyStorage. Every Insert/Erase copies the root-to-leaf path (plus
+/// the split or collapse subtree) and publishes the new root inside a new
+/// immutable Version with one atomic store. Readers pin an epoch and load
+/// the version head (SnapshotView); from then on they traverse a frozen
+/// tree that no writer will ever touch, so queries never block and never
+/// see a torn state. Replaced nodes and versions retire into the epoch
+/// limbo list and are freed only once no pinned reader can reach them.
+///
+/// Each Version carries the tree totals at its sequence number, so
+/// SnapshotView::LiveCensus() is O(depths x occupancies) and bitwise
+/// identical to a stop-the-world census of the same prefix of operations
+/// — the storm tests' core assertion.
+///
+/// Threading contract: Insert/Erase/CheckInvariants/destructor on the
+/// single writer thread; Snapshot() and everything on SnapshotView from
+/// any thread. The tree must outlive every SnapshotView taken from it.
+template <size_t D>
+class CowPrTree : public PrTreeCore<PathCopyStorage<D>> {
+  using Core = PrTreeCore<PathCopyStorage<D>>;
+
+ public:
+  /// Creates an empty tree over `bounds`. `initial_sequence` anchors the
+  /// version counter — pass the WAL/checkpoint sequence the starting
+  /// state reflects (0 for an empty tree) so snapshot sequence numbers
+  /// line up with log sequence numbers. `epoch_readers` sizes the
+  /// epoch manager's reader-slot table (concurrent pinned snapshots);
+  /// the shard router sizes per-shard trees to its client budget.
+  explicit CowPrTree(const geo::Box<D>& bounds,
+                     const PrTreeOptions& options = {},
+                     uint64_t initial_sequence = 0,
+                     size_t epoch_readers = EpochManager::kMaxReaders)
+      : Core(bounds, options, epoch_readers) {
+    this->storage_.PublishInitial(initial_sequence, this->totals_);
+  }
+
+  /// Writer-side sequence of the newest version: the number of
+  /// successful operations (WAL records) it reflects.
+  uint64_t sequence() const { return this->storage_.head()->sequence; }
+
+  /// The reclamation machinery, exposed for storm harnesses and benches
+  /// (counters from any thread; Retire/Advance/Reclaim writer-only).
+  EpochManager& epochs() const { return this->storage_.epochs(); }
+
+  /// Pins the current epoch and returns a frozen view of the newest
+  /// published version. Any thread; the view holds its pin until
+  /// destroyed, which is what keeps its nodes out of reclamation.
+  /// Aborts when all reader slots are taken — use TrySnapshot where slot
+  /// exhaustion is load, not a bug.
+  [[nodiscard]] SnapshotView<D> Snapshot() const {
+    StatusOr<SnapshotView<D>> view = TrySnapshot();
+    POPAN_CHECK(view.ok()) << view.status().ToString();
+    return std::move(view).value();
+  }
+
+  /// Like Snapshot, but returns ResourceExhausted instead of aborting
+  /// when every EpochManager reader slot is pinned — the form server
+  /// connection handlers must use, shedding the request on error.
+  [[nodiscard]] StatusOr<SnapshotView<D>> TrySnapshot() const {
+    StatusOr<EpochManager::Pin> pin = epochs().TryPinReader();
+    POPAN_RETURN_IF_ERROR(pin.status());
+    return SnapshotView<D>(this, this->storage_.PinnedHead(),
+                           std::move(pin).value());
+  }
 };
 
 /// A pinned, frozen view of one CowPrTree version: the reader-side handle.
-/// Construction pins an epoch; destruction releases it. Every traversal
-/// here is a pure const walk over immutable nodes — identical algorithms
-/// (and therefore identical QueryCost counters and visit orders) to
-/// PrTree's, so results are bitwise comparable with a stop-the-world tree
-/// holding the same points. Safe to share across threads by const
-/// reference (the executor does exactly that); the view and its source
-/// tree must outlive all such use.
+/// Construction pins an epoch; destruction releases it. The queries are
+/// PrTreeReads over the version's immutable nodes — the same code PrTree
+/// runs, so results, visit orders and QueryCost counters are bitwise
+/// comparable with a stop-the-world tree holding the same points. Safe to
+/// share across threads by const reference (the executor does exactly
+/// that); the view and its source tree must outlive all such use.
 template <size_t D>
-class SnapshotView {
+class SnapshotView : public PrTreeReads<SnapshotView<D>, PrNode<D, true>> {
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
-  static constexpr size_t kFanout = CowPrTree<D>::kFanout;
+  static constexpr size_t kFanout = size_t{1} << D;
 
   SnapshotView(SnapshotView&&) noexcept = default;
   SnapshotView& operator=(SnapshotView&&) noexcept = default;
@@ -547,384 +254,35 @@ class SnapshotView {
   /// operations (WAL records) this snapshot reflects.
   uint64_t sequence() const { return version_->sequence; }
 
-  size_t size() const { return version_->size; }
-  bool empty() const { return version_->size == 0; }
-  size_t LeafCount() const { return version_->leaf_count; }
+  size_t size() const { return version_->totals.size; }
+  bool empty() const { return version_->totals.size == 0; }
+  size_t LeafCount() const { return version_->totals.leaf_count; }
 
   /// The pinned version's census — bitwise identical to TakeCensus of a
   /// stop-the-world tree built from the same operation prefix.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < version_->hist.size(); ++d) {
-      const std::vector<uint64_t>& row = version_->hist[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
-
-  /// True iff an equal point is stored in this version.
-  bool Contains(const PointT& p) const {
-    if (!bounds().Contains(p)) return false;
-    const Node* node = version_->root;
-    BoxT box = bounds();
-    while (!node->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      node = node->children[q];
-      box = box.Quadrant(q);
-    }
-    const PointT* pts = node->points.data();
-    for (size_t i = 0, n = node->points.size(); i < n; ++i) {
-      if (pts[i] == p) return true;
-    }
-    return false;
-  }
-
-  /// All stored points inside `query` (half-open), unordered.
-  std::vector<PointT> RangeQuery(const BoxT& query) const {
-    std::vector<PointT> out;
-    QueryCost cost;
-    RangeQueryVisit(query, &cost,
-                    [&out](const PointT& p) { out.push_back(p); });
-    return out;
-  }
-
-  /// Cost-counted range search; same traversal (and counters) as
-  /// PrTree::RangeQueryVisit.
-  template <typename Fn>
-  void RangeQueryVisit(const BoxT& query, QueryCost* cost, Fn fn) const {
-    POPAN_DCHECK(cost != nullptr);
-    if (!bounds().Intersects(query)) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        const size_t n = f.node->points.size();
-        cost->points_scanned += n;
-        if constexpr (D == 2) {
-          // Snapshot leaves are AoS (immutable InlineBuffer), so the leaf
-          // filter goes through the stride-2 SIMD in-box kernel; matches,
-          // visit order, and counters are identical to the scalar
-          // Contains loop on every dispatch path.
-          static_assert(sizeof(PointT) == 2 * sizeof(double));
-          const double* xy = n != 0 ? pts[0].coords().data() : nullptr;
-          for (size_t base = 0; base < n; base += 64) {
-            const size_t chunk = n - base < 64 ? n - base : 64;
-            uint64_t mask = simd::MaskPointsInBoxAos(
-                xy + 2 * base, chunk, query.lo()[0], query.lo()[1],
-                query.hi()[0], query.hi()[1]);
-            while (mask != 0) {
-              const size_t i = static_cast<size_t>(std::countr_zero(mask));
-              mask &= mask - 1;
-              fn(pts[base + i]);
-            }
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            if (query.Contains(pts[i])) fn(pts[i]);
-          }
-        }
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.Intersects(query)) {
-          stack.push_back(WalkFrame{f.node->children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Cost-counted partial-match search; mirrors PrTree::PartialMatchVisit.
-  /// The leaf scan stays scalar: the AoS layout has no contiguous axis
-  /// lane, and a degenerate-box reformulation of the equality test would
-  /// diverge from `p[axis] == value` on NaN coordinates.
-  template <typename Fn>
-  void PartialMatchVisit(size_t axis, double value, QueryCost* cost,
-                         Fn fn) const {
-    POPAN_CHECK(axis < D);
-    POPAN_DCHECK(cost != nullptr);
-    if (value < bounds().lo()[axis] || value >= bounds().hi()[axis]) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        for (size_t i = 0, n = f.node->points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          if (pts[i][axis] == value) fn(pts[i]);
-        }
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.lo()[axis] <= value && value < child.hi()[axis]) {
-          stack.push_back(WalkFrame{f.node->children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// k nearest neighbors, ascending by the canonical (distance, x, y)
-  /// key; mirrors PrTree::NearestK (same KnnHeap, same counters).
-  std::vector<PointT> NearestK(const PointT& target, size_t k,
-                               QueryCost* cost) const {
-    POPAN_CHECK(k >= 1);
-    POPAN_DCHECK(cost != nullptr);
-    KnnHeap<PointT, PointTieLess> heap(k);
-    std::vector<DistFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(DistFrame{version_->root, bounds(),
-                              bounds().DistanceSquaredTo(target)});
-    while (!stack.empty()) {
-      DistFrame f = stack.back();
-      stack.pop_back();
-      if (heap.ShouldPrune(f.d2)) {
-        ++cost->pruned_subtrees;
-        continue;
-      }
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        for (size_t i = 0, n = f.node->points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          heap.Offer(pts[i].DistanceSquared(target), pts[i]);
-        }
-        continue;
-      }
-      std::array<std::pair<double, size_t>, kFanout> order;
-      for (size_t q = 0; q < kFanout; ++q) {
-        order[q] = {f.box.Quadrant(q).DistanceSquaredTo(target), q};
-      }
-      std::sort(order.begin(), order.end());
-      for (size_t i = kFanout; i-- > 0;) {
-        const auto& [d2, q] = order[i];
-        if (heap.ShouldPrune(d2)) {
-          ++cost->pruned_subtrees;
-          continue;
-        }
-        stack.push_back(
-            DistFrame{f.node->children[q], f.box.Quadrant(q), d2});
-      }
-    }
-    return heap.TakeSorted();
-  }
-
-  std::vector<PointT> NearestK(const PointT& target, size_t k) const {
-    QueryCost cost;
-    return NearestK(target, k, &cost);
-  }
-
-  /// fn(box, depth, occupancy) per leaf, preorder in quadrant order.
-  template <typename Fn>
-  void VisitLeaves(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      if (f.node->is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth), f.node->points.size());
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(
-            WalkFrame{f.node->children[q], f.box.Quadrant(q), f.depth + 1});
-      }
-    }
-  }
-
-  /// fn(box, depth, span<const PointT>) per leaf, preorder (Z order).
-  template <typename Fn>
-  void VisitLeavesPoints(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      if (f.node->is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth),
-           std::span<const PointT>(f.node->points.data(),
-                                   f.node->points.size()));
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(
-            WalkFrame{f.node->children[q], f.box.Quadrant(q), f.depth + 1});
-      }
-    }
-  }
-
-  /// Every stored point, in Z order of leaves.
-  std::vector<PointT> AllPoints() const {
-    std::vector<PointT> out;
-    out.reserve(version_->size);
-    VisitLeavesPoints(
-        [&out](const BoxT&, size_t, std::span<const PointT> pts) {
-          out.insert(out.end(), pts.begin(), pts.end());
-        });
-    return out;
-  }
+  Census LiveCensus() const { return version_->totals.hist.ToCensus(); }
 
  private:
   friend class CowPrTree<D>;
-  using Node = typename CowPrTree<D>::Node;
-  using Version = typename CowPrTree<D>::Version;
-
-  struct WalkFrame {
-    const Node* node;
-    BoxT box;
-    uint32_t depth;
-  };
-  struct DistFrame {
-    const Node* node;
-    BoxT box;
-    double d2;
-  };
-  static constexpr size_t kWalkStackHint = 64;
+  using Node = PrNode<D, true>;
+  using Version = typename PathCopyStorage<D>::Version;
+  friend class PrTreeReads<SnapshotView, Node>;
 
   SnapshotView(const CowPrTree<D>* tree, const Version* version,
                EpochManager::Pin pin)
       : tree_(tree), version_(version), pin_(std::move(pin)) {}
+
+  const Node* RootHandle() const { return version_->root; }
+  static const Node& NodeAt(const Node* h) { return *h; }
 
   const CowPrTree<D>* tree_;
   const Version* version_;
   EpochManager::Pin pin_;
 };
 
-template <size_t D>
-SnapshotView<D> CowPrTree<D>::Snapshot() const {
-  // Pin first, then load the head: the pinned epoch then protects every
-  // node reachable from the loaded version (see epoch.h).
-  EpochManager::Pin pin = epochs_.PinReader();
-  const Version* v = head_.load(std::memory_order_seq_cst);
-  return SnapshotView<D>(this, v, std::move(pin));
-}
-
-template <size_t D>
-StatusOr<SnapshotView<D>> CowPrTree<D>::TrySnapshot() const {
-  StatusOr<EpochManager::Pin> pin = epochs_.TryPinReader();
-  POPAN_RETURN_IF_ERROR(pin.status());
-  const Version* v = head_.load(std::memory_order_seq_cst);
-  return SnapshotView<D>(this, v, std::move(pin).value());
-}
-
 /// Convenience aliases matching PrTree's.
 using CowPrQuadtree = CowPrTree<2>;
 using SnapshotView2 = SnapshotView<2>;
-
-/// Epoch-protected publication of whole immutable values — the snapshot
-/// mechanism for structures that are rebuilt rather than edited in place
-/// (LinearPrQuadtree: the writer bulk-rebuilds per batch and publishes;
-/// readers pin a consistent revision and query it without blocking).
-/// Same single-writer / multi-reader contract as CowPrTree.
-template <typename T>
-class VersionedObject {
- public:
-  explicit VersionedObject(T initial, uint64_t sequence = 0) {
-    head_.store(new Revision{std::move(initial), sequence},
-                std::memory_order_seq_cst);
-  }
-
-  ~VersionedObject() {
-    delete head_.load(std::memory_order_relaxed);
-    // epochs_'s destructor drains retired revisions.
-  }
-
-  VersionedObject(const VersionedObject&) = delete;
-  VersionedObject& operator=(const VersionedObject&) = delete;
-
-  /// A pinned revision; dereferences to the immutable value. Shares the
-  /// outlive rules of SnapshotView.
-  class View {
-   public:
-    View(View&&) noexcept = default;
-    View& operator=(View&&) noexcept = default;
-
-    const T& operator*() const { return revision_->value; }
-    const T* operator->() const { return &revision_->value; }
-    const T& get() const { return revision_->value; }
-    uint64_t sequence() const { return revision_->sequence; }
-
-   private:
-    friend class VersionedObject;
-    View(const typename VersionedObject::Revision* revision,
-         EpochManager::Pin pin)
-        : revision_(revision), pin_(std::move(pin)) {}
-
-    const typename VersionedObject::Revision* revision_;
-    EpochManager::Pin pin_;
-  };
-
-  /// Writer: publishes `next` at `sequence`, retiring the previous
-  /// revision into the epoch limbo list.
-  void Publish(T next, uint64_t sequence) {
-    Revision* r = new Revision{std::move(next), sequence};
-    const Revision* old = head_.load(std::memory_order_relaxed);
-    head_.store(r, std::memory_order_seq_cst);
-    epochs_.RetireObject(old);
-    epochs_.AdvanceEpoch();
-    epochs_.Reclaim();
-  }
-
-  /// Pins the current revision. Any thread. Aborts on reader-slot
-  /// exhaustion; TrySnapshot below returns it as a typed error instead.
-  [[nodiscard]] View Snapshot() const {
-    EpochManager::Pin pin = epochs_.PinReader();
-    const Revision* r = head_.load(std::memory_order_seq_cst);
-    return View(r, std::move(pin));
-  }
-
-  /// Like Snapshot, but sheds load with ResourceExhausted when all
-  /// reader slots are pinned.
-  [[nodiscard]] StatusOr<View> TrySnapshot() const {
-    StatusOr<EpochManager::Pin> pin = epochs_.TryPinReader();
-    POPAN_RETURN_IF_ERROR(pin.status());
-    const Revision* r = head_.load(std::memory_order_seq_cst);
-    return View(r, std::move(pin).value());
-  }
-
-  /// Writer-side sequence of the newest revision.
-  uint64_t sequence() const {
-    return head_.load(std::memory_order_relaxed)->sequence;
-  }
-
-  EpochManager& epochs() const { return epochs_; }
-
- private:
-  struct Revision {
-    T value;
-    uint64_t sequence;
-  };
-
-  mutable EpochManager epochs_;
-  std::atomic<const Revision*> head_{nullptr};
-};
 
 }  // namespace popan::spatial
 

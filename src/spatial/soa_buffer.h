@@ -14,11 +14,11 @@
 
 namespace popan::spatial {
 
-/// Structure-of-arrays sibling of InlineBuffer for leaf contents: each
+/// Structure-of-arrays small-buffer storage for leaf contents: each
 /// coordinate axis lives in its own contiguous lane (x[], y[], ...), so
 /// the range/partial-match hot loops can test a whole leaf against a box
 /// with the SIMD kernels in util/simd.h instead of point-at-a-time
-/// Box::Contains calls. Everything else mirrors InlineBuffer exactly:
+/// Box::Contains calls.
 ///
 ///   * up to kInline elements per lane live inside the owning node, larger
 ///     contents spill to per-lane heap vectors;

@@ -1,9 +1,13 @@
 #include "util/logging.h"
 
+#include <atomic>
+
 namespace popan {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
+// Relaxed is enough: the level is a standalone flag that orders no other
+// memory, and a logger racing a SetLogLevel may see either value.
+std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -20,8 +24,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+void SetLogLevel(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
 namespace internal_log {
 

@@ -17,8 +17,9 @@ enum class LogLevel {
 };
 
 /// Global log threshold; messages below it are discarded. Defaults to
-/// kInfo. Not thread-safe to mutate concurrently with logging (the library
-/// is single-threaded by design; experiments parallelize across processes).
+/// kInfo. Safe to read and set from any thread: server reader threads and
+/// the sim thread pool log concurrently. A message racing a SetLogLevel
+/// call is filtered by either the old or the new level.
 LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 

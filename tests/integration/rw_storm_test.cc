@@ -49,7 +49,6 @@ RwStormConfig ConfigFor(size_t readers, uint64_t seed) {
   config.max_depth = 32;
   config.insert_fraction = 0.65;
   config.seed = seed;
-  config.batch_size = 32;
   return config;
 }
 
@@ -71,24 +70,6 @@ TEST(RwStormTest, CowTreeReaderScalingMatrix) {
           << "readers=" << readers << " seed=" << seed;
       // One advance per published version plus the final drain.
       EXPECT_EQ(stats->epochs_advanced, config.num_ops + 1);
-    }
-  }
-}
-
-TEST(RwStormTest, LinearQuadtreeReaderScalingMatrix) {
-  const size_t seeds = EnvOr("POPAN_STORM_SEEDS", 64);
-  ExperimentRunner runner;
-  for (size_t readers : ReaderMatrix()) {
-    for (uint64_t seed = 0; seed < seeds; ++seed) {
-      RwStormConfig config = ConfigFor(readers, seed);
-      StatusOr<RwStormStats> stats = RunLinearQuadtreeStorm(config, runner);
-      ASSERT_TRUE(stats.ok()) << "readers=" << readers << " seed=" << seed
-                              << ": " << stats.status().ToString();
-      EXPECT_EQ(stats->ops_applied, config.num_ops);
-      EXPECT_EQ(stats->snapshots_verified,
-                readers * config.snapshots_per_reader);
-      EXPECT_EQ(stats->objects_retired, stats->objects_reclaimed)
-          << "readers=" << readers << " seed=" << seed;
     }
   }
 }

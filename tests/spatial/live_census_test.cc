@@ -5,6 +5,7 @@
 // extendible hash through splits, buddy merges, and directory shrink.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "geometry/box.h"
@@ -12,7 +13,6 @@
 #include "gtest/gtest.h"
 #include "spatial/census.h"
 #include "spatial/extendible_hash.h"
-#include "spatial/inline_buffer.h"
 #include "spatial/pr_tree.h"
 #include "util/random.h"
 
@@ -171,37 +171,41 @@ TEST(LiveCensusTest, AddLeavesMatchesRepeatedAddLeaf) {
   EXPECT_EQ(bulk.CountAt(0, 4), 2u);
 }
 
-TEST(LiveCensusTest, InlineBufferSpillAndUnspill) {
-  InlineBuffer<int, 4> buf;
-  EXPECT_EQ(buf.inline_capacity(), 4u);
-  for (int i = 0; i < 4; ++i) buf.push_back(i);
-  EXPECT_FALSE(buf.spilled());
-  buf.push_back(4);  // crosses the threshold
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_EQ(buf.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(buf[static_cast<size_t>(i)], i);
-  buf.SwapRemoveAt(0);  // back to 4 elements: un-spills
-  EXPECT_FALSE(buf.spilled());
-  EXPECT_EQ(buf.size(), 4u);
-  // Contents are {4, 1, 2, 3} after the swap-remove.
-  EXPECT_EQ(buf[0], 4);
-  EXPECT_EQ(buf[1], 1);
-  EXPECT_EQ(buf[3], 3);
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
+TEST(LiveCensusTest, LiveHistogramFoldsLikeLeafByLeafCensus) {
+  LiveHistogram hist;
+  Census walked;
+  // Occupancies past the initial column width force the flat array to
+  // re-lay its rows; counts must survive every regrowth.
+  const size_t cells[][2] = {{0, 0}, {2, 3}, {2, 3}, {5, 1}, {1, 40}, {7, 9}};
+  for (const auto& cell : cells) {
+    hist.Add(cell[0], cell[1]);
+    walked.AddLeaf(cell[1], cell[0]);
+  }
+  hist.Add(3, 2);
+  hist.Remove(3, 2);  // leaves a zero cell behind, which the fold skips
+  EXPECT_EQ(hist.ToCensus(), walked);
+  EXPECT_EQ(hist.At(2, 3), 2u);
+  EXPECT_EQ(hist.At(1, 40), 1u);
+  EXPECT_EQ(hist.At(3, 2), 0u);
+  EXPECT_EQ(hist.At(99, 99), 0u);
 }
 
-TEST(LiveCensusTest, InlineBufferDeepSpill) {
-  InlineBuffer<int, 2> buf;
-  for (int i = 0; i < 100; ++i) buf.push_back(i);
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_EQ(buf.size(), 100u);
-  int sum = 0;
-  for (int v : buf) sum += v;
-  EXPECT_EQ(sum, 4950);
-  while (buf.size() > 0) buf.SwapRemoveAt(buf.size() - 1);
-  EXPECT_FALSE(buf.spilled());
-  EXPECT_TRUE(buf.empty());
+TEST(LiveCensusTest, LiveHistogramDiffNamesTheDriftingCell) {
+  LiveHistogram live;
+  LiveHistogram walked;
+  for (size_t occ = 0; occ < 5; ++occ) {
+    live.Add(4, occ);
+    walked.Add(4, occ);
+  }
+  EXPECT_TRUE(live.DiffAgainstWalk(walked).ok());
+  // A cell only one side has (here past the other's grown area) is drift.
+  live.Add(6, 17);
+  Status drift = live.DiffAgainstWalk(walked);
+  ASSERT_FALSE(drift.ok());
+  EXPECT_NE(drift.message().find("depth 6 occupancy 17"), std::string::npos)
+      << drift.ToString();
+  live.Remove(6, 17);
+  EXPECT_TRUE(live.DiffAgainstWalk(walked).ok());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "spatial/snapshot_view.h"
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,11 +57,13 @@ std::vector<Point2> SortedRange(const PrTree<2>& tree, const Box2& box) {
 }
 
 /// Asserts the snapshot is bitwise identical to a stop-the-world tree
-/// built by replaying the first snapshot.sequence() trace operations:
-/// size, live census, and canonical range results at the storm boxes.
+/// with `options` built by replaying the first snapshot.sequence() trace
+/// operations: size, live census, every point in leaf order, and
+/// canonical range results at the storm boxes.
 void ExpectMatchesPrefix(const SnapshotView2& snapshot,
-                         const std::vector<StormOp>& trace, uint64_t seed) {
-  PrTree<2> ref(Box2::UnitCube(), StormOptions());
+                         const std::vector<StormOp>& trace, uint64_t seed,
+                         const PrTreeOptions& options = StormOptions()) {
+  PrTree<2> ref(Box2::UnitCube(), options);
   ASSERT_TRUE(ReplayTrace({trace.data(), trace.size()},
                           static_cast<size_t>(snapshot.sequence()), &ref)
                   .ok());
@@ -68,6 +72,9 @@ void ExpectMatchesPrefix(const SnapshotView2& snapshot,
   EXPECT_TRUE(snapshot.LiveCensus() == ref.LiveCensus())
       << "census mismatch at sequence " << snapshot.sequence() << " seed "
       << seed;
+  EXPECT_EQ(snapshot.AllPoints(), ref.AllPoints())
+      << "leaf contents differ at sequence " << snapshot.sequence()
+      << " seed " << seed;
   for (uint64_t j = 0; j < kQueriesPerSnapshot; ++j) {
     Box2 box = StormQueryBox(seed, snapshot.sequence(), j);
     EXPECT_EQ(SortedRange(snapshot, box), SortedRange(ref, box))
@@ -76,14 +83,30 @@ void ExpectMatchesPrefix(const SnapshotView2& snapshot,
   }
 }
 
+/// One option set of the prefix-equality property.
+struct StormCase {
+  const char* name;
+  PrTreeOptions options;
+  size_t ops;
+  /// Whether some pinned snapshot must hold a leaf past the inline
+  /// capacity, so the copy-on-write path copies spilled lanes.
+  bool expect_spill;
+};
+
+void PrintTo(const StormCase& c, std::ostream* os) { *os << c.name; }
+
+class SnapshotConsistencyTest : public testing::TestWithParam<StormCase> {};
+
 // The satellite property test: for 64 seeds, interleave the writer trace
 // with snapshots and check every pinned snapshot against the serially
 // replayed prefix. Single-threaded on purpose — the oracle itself must
 // hold before the storm adds scheduling nondeterminism on top.
-TEST(SnapshotConsistencyTest, EverySnapshotEqualsItsReplayedPrefix) {
+TEST_P(SnapshotConsistencyTest, EverySnapshotEqualsItsReplayedPrefix) {
+  const StormCase& c = GetParam();
+  size_t max_occupancy = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    std::vector<StormOp> trace = MakeStormTrace(kOps, 0.65, seed);
-    CowPrQuadtree tree(Box2::UnitCube(), StormOptions());
+    std::vector<StormOp> trace = MakeStormTrace(c.ops, 0.65, seed);
+    CowPrQuadtree tree(Box2::UnitCube(), c.options);
     std::vector<SnapshotView2> pinned;
     for (size_t i = 0; i < trace.size(); ++i) {
       Status s = trace[i].insert ? tree.Insert(trace[i].point)
@@ -93,17 +116,20 @@ TEST(SnapshotConsistencyTest, EverySnapshotEqualsItsReplayedPrefix) {
         pinned.push_back(tree.Snapshot());
       }
     }
-    ASSERT_EQ(tree.sequence(), kOps);
+    ASSERT_EQ(tree.sequence(), c.ops);
     ASSERT_TRUE(tree.CheckInvariants().ok()) << "seed " << seed;
     // Every snapshot was pinned while the writer kept going; each must
     // still show exactly its own prefix.
     for (const SnapshotView2& snapshot : pinned) {
-      ExpectMatchesPrefix(snapshot, trace, seed);
+      ExpectMatchesPrefix(snapshot, trace, seed, c.options);
+      snapshot.VisitLeaves([&max_occupancy](const Box2&, size_t, size_t n) {
+        max_occupancy = std::max(max_occupancy, n);
+      });
     }
     {
       SnapshotView2 final_snapshot = tree.Snapshot();
-      EXPECT_EQ(final_snapshot.sequence(), kOps);
-      ExpectMatchesPrefix(final_snapshot, trace, seed);
+      EXPECT_EQ(final_snapshot.sequence(), c.ops);
+      ExpectMatchesPrefix(final_snapshot, trace, seed, c.options);
     }
     // With all pins released, one more advance must fully drain limbo.
     pinned.clear();
@@ -114,7 +140,22 @@ TEST(SnapshotConsistencyTest, EverySnapshotEqualsItsReplayedPrefix) {
               tree.epochs().objects_reclaimed())
         << "seed " << seed;
   }
+  if (c.expect_spill) {
+    EXPECT_GT(max_occupancy, PrQuadtree::kInlineLeafCapacity);
+  }
 }
+
+// Capacity-12 leaves spill once they pass the 8-point inline lanes; the
+// depth-3 truncation piles points into 64 leaves until they spill (its
+// longer trace keeps ~360 points live).
+INSTANTIATE_TEST_SUITE_P(
+    OptionSets, SnapshotConsistencyTest,
+    testing::Values(StormCase{"Cap4Depth32", {4, 32}, kOps, false},
+                    StormCase{"Cap12", {12, 64}, kOps, true},
+                    StormCase{"Cap2Depth3", {2, 3}, 4 * kOps, true}),
+    [](const testing::TestParamInfo<StormCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // A pinned snapshot must keep its exact contents no matter how much the
 // writer mutates afterwards — the epoch pin is what stops reclamation of
