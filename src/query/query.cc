@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -18,12 +19,13 @@ namespace popan::query {
 namespace {
 
 /// Canonical order for range / partial-match point results: by (x, y).
+bool CanonicalLess(const geo::Point2& a, const geo::Point2& b) {
+  if (a.x() != b.x()) return a.x() < b.x();
+  return a.y() < b.y();
+}
+
 void SortCanonical(std::vector<geo::Point2>* points) {
-  std::sort(points->begin(), points->end(),
-            [](const geo::Point2& a, const geo::Point2& b) {
-              if (a.x() != b.x()) return a.x() < b.x();
-              return a.y() < b.y();
-            });
+  std::sort(points->begin(), points->end(), CanonicalLess);
 }
 
 /// Shared dispatch for the five backends whose visitors speak domain
@@ -131,6 +133,18 @@ uint64_t FoldDouble(uint64_t h, double v) {
 
 void CanonicalizePointOrder(std::vector<geo::Point2>* points) {
   SortCanonical(points);
+}
+
+void MergeCanonicalRun(std::vector<geo::Point2>* points,
+                       std::vector<geo::Point2> run) {
+  if (points->empty()) {
+    *points = std::move(run);
+    return;
+  }
+  const auto mid = static_cast<std::ptrdiff_t>(points->size());
+  points->insert(points->end(), run.begin(), run.end());
+  std::inplace_merge(points->begin(), points->begin() + mid, points->end(),
+                     CanonicalLess);
 }
 
 uint64_t ChecksumResult(uint64_t h, const QueryResult& r) {

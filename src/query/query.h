@@ -85,10 +85,15 @@ inline constexpr uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
 uint64_t ChecksumResult(uint64_t h, const QueryResult& r);
 
 /// Sorts `points` into the canonical (x, y) order range and partial-match
-/// results use. Exposed so result mergers (the shard router concatenating
-/// per-shard answers) land on bitwise the same order a single backend
-/// produces.
+/// results use. Exposed so callers assembling answers by other means land
+/// on bitwise the same order a single backend produces.
 void CanonicalizePointOrder(std::vector<geo::Point2>* points);
+
+/// Merges `run` into `points`. Both must already be in canonical order
+/// and share no point (per-shard answers); the result is the canonical
+/// order of their union, in linear time rather than a re-sort.
+void MergeCanonicalRun(std::vector<geo::Point2>* points,
+                       std::vector<geo::Point2> run);
 
 // ---------------------------------------------------------------------
 // Adapters. Two backends do not speak domain coordinates natively; these

@@ -1,10 +1,11 @@
 #include "server/server_core.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "server/cow_store.h"
+#include "core/query_model.h"
+#include "query/query.h"
+#include "spatial/census.h"
 #include "util/check.h"
 
 namespace popan::server {
@@ -24,25 +25,27 @@ bool IsReadKind(MsgType type) {
          type == MsgType::kNearestK || type == MsgType::kCensus;
 }
 
-bool FinitePoint(const geo::Point2& p) {
-  // Box::Contains is comparison-based, so a NaN coordinate slips through
-  // every bound check; reject it explicitly before it reaches the tree.
-  return std::isfinite(p.x()) && std::isfinite(p.y());
+shard::RouterOptions SingleTreeOptions(
+    const spatial::PrTreeOptions& options) {
+  shard::RouterOptions router_options;
+  router_options.tree = options;
+  return router_options;
 }
 
 }  // namespace
 
-ServerCore::ServerCore(std::unique_ptr<StoreBackend> store)
-    : store_(std::move(store)), subs_(store_->bounds()) {
-  POPAN_CHECK(store_ != nullptr);
-}
+ServerCore::ServerCore(std::unique_ptr<ShardStoreBackend> store)
+    : store_(std::move(store)), subs_(store_->bounds()) {}
 
 ServerCore::ServerCore(const geo::Box2& bounds,
                        const spatial::PrTreeOptions& options,
                        spatial::WalWriter* wal, uint64_t initial_sequence,
                        const std::vector<geo::Point2>& seed_points)
-    : ServerCore(std::make_unique<CowTreeBackend>(
-          bounds, options, wal, initial_sequence, seed_points)) {}
+    : ServerCore(std::make_unique<ShardStoreBackend>(
+          std::make_unique<shard::ShardRouter>(
+              bounds, SingleTreeOptions(options), initial_sequence,
+              seed_points),
+          wal)) {}
 
 uint64_t ServerCore::OpenClient() {
   popan::AssumeRole command(command_role_);
@@ -172,16 +175,57 @@ StatusOr<PreparedRead> ServerCore::PrepareReadLocked(const Request& request) {
   if (!IsReadKind(request.type)) {
     return Status::InvalidArgument("not a read-kind request");
   }
-  POPAN_ASSIGN_OR_RETURN(std::unique_ptr<const ReadView> view,
-                         store_->PrepareRead());
-  return PreparedRead{request, std::move(view)};
+  POPAN_ASSIGN_OR_RETURN(shard::MultiSnapshot snapshot,
+                         store_->router().TrySnapshot());
+  return PreparedRead{request, std::move(snapshot)};
 }
 
 Response ServerCore::CompleteRead(const PreparedRead& prepared) {
-  // Pure delegation: the view was pinned at prepare time and the
-  // backend's Complete is a pure function of (view, request), so this is
-  // safe on any thread.
-  return prepared.view->Complete(prepared.request);
+  const shard::MultiSnapshot& snapshot = prepared.snapshot;
+  const Request& request = prepared.request;
+  Response response;
+  response.type = ResponseTypeFor(request.type);
+  response.sequence = snapshot.sequence();
+  if (request.type == MsgType::kCensus) {
+    spatial::Census census = snapshot.LiveCensus();
+    response.size = snapshot.size();
+    response.leaf_count = snapshot.LeafCount();
+    response.max_depth = static_cast<uint32_t>(census.MaxDepth());
+    response.average_occupancy = census.AverageOccupancy();
+    return response;
+  }
+  query::QuerySpec spec;
+  switch (request.type) {
+    case MsgType::kRange:
+      spec = query::QuerySpec::Range(request.box);
+      break;
+    case MsgType::kPartialMatch:
+      spec = query::QuerySpec::PartialMatch(request.axis, request.value);
+      break;
+    default:
+      spec = query::QuerySpec::NearestK(request.point, request.k);
+      break;
+  }
+  query::QueryResult result = shard::Execute(snapshot, spec);
+  response.cost = result.cost;
+  response.points = std::move(result.points);
+  // The serving-time cost estimate rides along with every range and
+  // partial-match answer: the same census-driven model the offline
+  // analysis uses, evaluated on the merged census of the pinned cut, so a
+  // client can compare predicted against measured work per request.
+  if (request.type != MsgType::kNearestK && snapshot.size() > 0) {
+    const geo::Box2& domain = snapshot.domain();
+    core::QueryCostModel model =
+        core::QueryCostModel::FromCensus(snapshot.LiveCensus(), domain);
+    if (request.type == MsgType::kRange) {
+      double qx = std::min(request.box.Extent(0), domain.Extent(0));
+      double qy = std::min(request.box.Extent(1), domain.Extent(1));
+      response.predicted_nodes = model.PredictRange(qx, qy).nodes;
+    } else {
+      response.predicted_nodes = model.PredictPartialMatch().nodes;
+    }
+  }
+  return response;
 }
 
 void ServerCore::SubmitResponse(uint64_t client_id,
@@ -220,10 +264,6 @@ Response ServerCore::HandleWrite(uint64_t client_id,
   response.type = ResponseTypeFor(request.type);
   if (request.type == MsgType::kInsertBatch) {
     for (const geo::Point2& p : request.batch) {
-      if (!FinitePoint(p)) {
-        ++response.rejected;
-        continue;
-      }
       StatusOr<uint64_t> applied = store_->ApplyInsert(p);
       if (applied.ok()) {
         NotifyWrite('I', p, applied.value());
@@ -238,10 +278,6 @@ Response ServerCore::HandleWrite(uint64_t client_id,
     return response;
   }
   const geo::Point2& p = request.point;
-  if (!FinitePoint(p)) {
-    return ErrorResponse(request.type, Status::InvalidArgument(
-                                           "non-finite coordinate"));
-  }
   StatusOr<uint64_t> applied = request.type == MsgType::kInsert
                                    ? store_->ApplyInsert(p)
                                    : store_->ApplyErase(p);

@@ -12,8 +12,9 @@
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "server/protocol.h"
-#include "server/store.h"
+#include "server/shard_store.h"
 #include "server/subscriptions.h"
+#include "shard/router.h"
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
 #include "util/mutex.h"
@@ -23,20 +24,23 @@
 
 namespace popan::server {
 
-/// A read request paired with the epoch-pinned store view it executes
-/// against. Produced serially by ServerCore::PrepareRead; completed by
-/// CompleteRead on any thread — the completion touches only the pinned
-/// view, so reads overlap writes without locks, and the response is a
-/// pure function of (view, request): bit-identical at any thread
-/// count. Move-only (the view owns its epoch pin).
+/// A read request paired with the consistent cut of the store it
+/// executes against. Produced serially by ServerCore::PrepareRead;
+/// completed by CompleteRead — the completion touches only the pinned
+/// snapshot, so the response is a pure function of (snapshot, request):
+/// bit-identical on any thread. SocketServer completes reads inline on
+/// its command thread; only the traffic simulator hands them to worker
+/// threads, where they overlap writes without locks. Move-only (the
+/// snapshot owns its epoch pins).
 struct PreparedRead {
   Request request;
-  std::unique_ptr<const ReadView> view;
+  shard::MultiSnapshot snapshot;
 };
 
-/// The transport-agnostic query server: a StoreBackend (single
-/// CowPrQuadtree or Morton-range sharded map — see store.h), a
-/// SubscriptionIndex, and per-client frame outboxes.
+/// The transport-agnostic query server: a ShardStoreBackend (a
+/// Morton-range router — one shard for single-tree serving — plus an
+/// optional whole-store WAL, see shard_store.h), a SubscriptionIndex,
+/// and per-client frame outboxes.
 ///
 /// Threading contract: every member function runs on the single command
 /// thread (the socket poll loop, or the simulator's issuing loop) EXCEPT
@@ -49,21 +53,21 @@ struct PreparedRead {
 /// clang -Wthread-safety a new code path that touches server state
 /// without declaring its affinity fails the build.
 ///
-/// Write path ordering: validate -> apply to the backend (structure,
-/// then its WAL in lockstep) -> match subscriptions -> enqueue
-/// notifications. Validation (finite, in-bounds) happens before apply so
-/// a durability append cannot fail after the structure changed; the
-/// response carries the backend's shared sequence.
+/// Write path ordering: apply to the store (the router validates —
+/// finite, in-domain — then changes the structure, then the WAL appends
+/// in lockstep) -> match subscriptions -> enqueue notifications. A
+/// rejected write changes nothing and burns no sequence; the response
+/// carries the store's sequence.
 class ServerCore {
  public:
-  /// Serves an externally constructed storage engine (see store.h).
-  explicit ServerCore(std::unique_ptr<StoreBackend> store);
+  /// Serves an externally constructed store (e.g. a durable or
+  /// rebalancing router).
+  explicit ServerCore(std::unique_ptr<ShardStoreBackend> store);
 
-  /// Single-tree convenience form (the original API): constructs a
-  /// CowTreeBackend internally. `wal` may be null (no durability); when
-  /// provided it must already be positioned (fresh header or ResumeAt
-  /// after recovery) and its next_sequence must equal
-  /// `initial_sequence` + 1.
+  /// Single-tree form: an in-memory, non-rebalancing one-shard router.
+  /// `wal` may be null (no durability); when provided it must already be
+  /// positioned (fresh header or ResumeAt after recovery) and its
+  /// next_sequence must equal `initial_sequence` + 1.
   ///
   /// `seed_points` pre-loads recovered state (WAL replay / checkpoint)
   /// without logging or notifying: the tree is constructed so that its
@@ -105,7 +109,9 @@ class ServerCore {
   /// crashing (the bug this API replaced).
   [[nodiscard]] StatusOr<PreparedRead> PrepareRead(const Request& request);
 
-  /// Executes a prepared read. Pure and thread-safe (see above).
+  /// Builds the response to a prepared read: points and cost counters
+  /// from shard::Execute, and for range / partial-match answers the
+  /// census-driven predicted_nodes. Pure and thread-safe (see above).
   static Response CompleteRead(const PreparedRead& prepared);
 
   /// Encodes `response` into `client_id`'s outbox. Used by callers that
@@ -128,10 +134,6 @@ class ServerCore {
   size_t size() const {
     popan::AssumeRole command(command_role_);
     return store_->size();
-  }
-  const StoreBackend& store() const {
-    popan::AssumeRole command(command_role_);
-    return *store_;
   }
   const SubscriptionIndex& subscriptions() const {
     popan::AssumeRole command(command_role_);
@@ -171,8 +173,8 @@ class ServerCore {
   /// The command thread's affinity capability (see threading contract).
   popan::ThreadRole command_role_;
   /// Declared before subs_: the subscription index is constructed from
-  /// the backend's bounds.
-  std::unique_ptr<StoreBackend> store_ GUARDED_BY(command_role_);
+  /// the store's bounds.
+  std::unique_ptr<ShardStoreBackend> store_ GUARDED_BY(command_role_);
   SubscriptionIndex subs_ GUARDED_BY(command_role_);
   // Ordered: deterministic scans.
   std::map<uint64_t, ClientState> clients_ GUARDED_BY(command_role_);

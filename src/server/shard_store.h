@@ -7,44 +7,55 @@
 
 #include "geometry/box.h"
 #include "geometry/point.h"
-#include "server/store.h"
 #include "shard/router.h"
+#include "spatial/wal.h"
 #include "util/statusor.h"
 
 namespace popan::server {
 
-/// The sharded storage engine: a Morton-range ShardRouter behind the
-/// same StoreBackend interface the single-tree backend implements, so
-/// the protocol layer serves a sharded store unchanged. Reads pin a
-/// MultiSnapshot (one epoch slot per shard) and fan out through
-/// shard::Execute, which merges through the canonical ordering layer —
-/// response POINTS are bitwise identical to the single-tree backend;
-/// cost counters legitimately differ (they sum per-shard traversals).
-/// The census response and predicted_nodes evaluate on the MERGED
-/// census, the same aggregate a single tree over the union would
-/// produce.
-class ShardStoreBackend final : public StoreBackend {
+/// The storage engine behind ServerCore: a Morton-range ShardRouter plus,
+/// optionally, one write-ahead log for the whole store. Single-tree
+/// serving is the one-shard router (ServerCore's bounds/options
+/// constructor builds it); `--shards` serving is the rebalancing router,
+/// in memory or opened from a durable store directory.
+///
+/// Threading contract: every method runs on ServerCore's single command
+/// thread; only the MultiSnapshots pinned through router().TrySnapshot()
+/// may leave it. ServerCore expresses this by guarding its store pointer
+/// with the command-role capability.
+class ShardStoreBackend {
  public:
   /// Takes ownership of a constructed router (in-memory or opened from
   /// a durable store directory via shard::ShardRouter::Open).
-  explicit ShardStoreBackend(std::unique_ptr<shard::ShardRouter> router);
+  ///
+  /// `wal` (the single-file `--wal` log) may be null. When provided it
+  /// must already be positioned (fresh header or ResumeAt after
+  /// recovery) with next_sequence == router sequence + 1, and the router
+  /// must be in-memory and non-rebalancing, so the one log always
+  /// describes the whole store.
+  explicit ShardStoreBackend(std::unique_ptr<shard::ShardRouter> router,
+                             spatial::WalWriter* wal = nullptr);
 
-  const geo::Box2& bounds() const override { return router_->domain(); }
-  uint64_t sequence() const override { return router_->sequence(); }
-  size_t size() const override { return router_->size(); }
+  const geo::Box2& bounds() const { return router_->domain(); }
 
-  [[nodiscard]] StatusOr<uint64_t> ApplyInsert(
-      const geo::Point2& p) override;
-  [[nodiscard]] StatusOr<uint64_t> ApplyErase(
-      const geo::Point2& p) override;
-  [[nodiscard]] StatusOr<std::unique_ptr<const ReadView>> PrepareRead()
-      const override;
+  /// Logical op clock: successful writes since construction, plus the
+  /// recovered prefix after a restart.
+  uint64_t sequence() const { return router_->sequence(); }
+  size_t size() const { return router_->size(); }
 
-  shard::ShardRouter& router() { return *router_; }
+  /// Applies one write and returns the sequence it was stamped with.
+  /// The router validates (InvalidArgument for a non-finite coordinate,
+  /// OutOfRange outside the domain) before anything changes, so the log
+  /// never sees a record that failed; typed failures (AlreadyExists,
+  /// NotFound, ...) pass through and burn no sequence.
+  [[nodiscard]] StatusOr<uint64_t> ApplyInsert(const geo::Point2& p);
+  [[nodiscard]] StatusOr<uint64_t> ApplyErase(const geo::Point2& p);
+
   const shard::ShardRouter& router() const { return *router_; }
 
  private:
   std::unique_ptr<shard::ShardRouter> router_;
+  spatial::WalWriter* wal_;
 };
 
 }  // namespace popan::server

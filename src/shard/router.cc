@@ -118,32 +118,24 @@ query::QueryResult Execute(const MultiSnapshot& snapshot,
   query::QueryResult result;
   const geo::Box2& domain = snapshot.domain();
   switch (spec.kind) {
-    case query::QueryKind::kRange: {
-      for (const MultiSnapshot::Entry& e : snapshot.entries()) {
-        if (!RangeTouchesBox(domain, e.range, spec.range)) {
-          ++result.cost.pruned_subtrees;
-          continue;
-        }
-        query::QueryResult part = query::Execute(e.view, spec);
-        result.points.insert(result.points.end(), part.points.begin(),
-                             part.points.end());
-        result.cost.Add(part.cost);
-      }
-      query::CanonicalizePointOrder(&result.points);
-      break;
-    }
+    case query::QueryKind::kRange:
     case query::QueryKind::kPartialMatch: {
+      // Each shard answers in canonical (x, y) order and shards hold
+      // disjoint points, so merging the runs is the single-tree order.
       for (const MultiSnapshot::Entry& e : snapshot.entries()) {
-        if (!RangeTouchesAxisValue(domain, e.range, spec.axis, spec.value)) {
+        const bool touches =
+            spec.kind == query::QueryKind::kRange
+                ? RangeTouchesBox(domain, e.range, spec.range)
+                : RangeTouchesAxisValue(domain, e.range, spec.axis,
+                                        spec.value);
+        if (!touches) {
           ++result.cost.pruned_subtrees;
           continue;
         }
         query::QueryResult part = query::Execute(e.view, spec);
-        result.points.insert(result.points.end(), part.points.begin(),
-                             part.points.end());
         result.cost.Add(part.cost);
+        query::MergeCanonicalRun(&result.points, std::move(part.points));
       }
-      query::CanonicalizePointOrder(&result.points);
       break;
     }
     case query::QueryKind::kNearestK: {
@@ -195,13 +187,14 @@ ShardRouter::ShardRouter(const geo::Box2& domain,
 }
 
 ShardRouter::ShardRouter(const geo::Box2& domain,
-                         const RouterOptions& options)
+                         const RouterOptions& options,
+                         uint64_t initial_sequence,
+                         const std::vector<geo::Point2>& seed_points)
     : ShardRouter(domain, options, std::string()) {
-  popan::AssumeRole writer(writer_role_);
-  StatusOr<std::shared_ptr<Shard>> initial = BuildShard(KeyRange{}, {});
-  POPAN_CHECK(initial.ok()) << initial.status().ToString();
+  std::shared_ptr<Shard> initial =
+      SeedShard(KeyRange{}, initial_sequence, seed_points);
   popan::MutexLock lock(map_mu_);
-  shards_.push_back(std::move(initial).value());
+  shards_.push_back(std::move(initial));
 }
 
 ShardRouter::~ShardRouter() = default;
@@ -242,8 +235,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   router->next_file_id_ = m.next_file_id;
 
   std::vector<std::shared_ptr<Shard>> shards;
-  uint64_t total_sequence = 0;
-  size_t total_size = 0;
   for (const ManifestShard& entry : m.shards) {
     const std::string wal_path = JoinPath(dir, entry.wal_file);
     std::ifstream wal_in(wal_path, std::ios::binary);
@@ -286,16 +277,8 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
                                 entry.range.ToString());
       }
     }
-    POPAN_CHECK(last_sequence >= points.size())
-        << "recovered sequence smaller than the surviving point count";
-
-    auto shard = std::make_shared<Shard>(entry.range, domain, options.tree,
-                                         last_sequence - points.size(),
-                                         options.epoch_readers);
-    for (const geo::Point2& p : points) {
-      Status applied = shard->tree.Insert(p);
-      POPAN_CHECK(applied.ok()) << applied.ToString();
-    }
+    std::shared_ptr<Shard> shard =
+        router->SeedShard(entry.range, last_sequence, points);
     shard->wal_file = entry.wal_file;
     shard->snapshot_file = entry.snapshot_file;
     // Truncate any torn tail, then resume appending after the last
@@ -307,8 +290,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     shard->wal = std::make_unique<spatial::WalWriter>(
         shard->wal_stream.get(), domain,
         spatial::WalWriter::ResumeAt{next_sequence});
-    total_sequence += last_sequence;
-    total_size += points.size();
     shards.push_back(std::move(shard));
   }
 
@@ -316,8 +297,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     popan::MutexLock lock(router->map_mu_);
     router->shards_ = std::move(shards);
   }
-  router->sequence_.store(total_sequence, std::memory_order_relaxed);
-  router->size_.store(total_size, std::memory_order_relaxed);
   return router;
 }
 
@@ -462,6 +441,23 @@ bool ShardRouter::CrashPoint(std::string_view stage) {
 Status ShardRouter::PoisonedStatus() const {
   return Status::FailedPrecondition(
       "shard router poisoned by injected crash");
+}
+
+std::shared_ptr<ShardRouter::Shard> ShardRouter::SeedShard(
+    const KeyRange& range, uint64_t last_sequence,
+    const std::vector<geo::Point2>& points) {
+  POPAN_CHECK(last_sequence >= points.size())
+      << "recovered sequence smaller than the surviving point count";
+  auto shard = std::make_shared<Shard>(range, domain_, options_.tree,
+                                       last_sequence - points.size(),
+                                       options_.epoch_readers);
+  for (const geo::Point2& p : points) {
+    Status applied = shard->tree.Insert(p);
+    POPAN_CHECK(applied.ok()) << "seed point rejected: " << applied.ToString();
+  }
+  sequence_.fetch_add(last_sequence, std::memory_order_relaxed);
+  size_.fetch_add(points.size(), std::memory_order_relaxed);
+  return shard;
 }
 
 StatusOr<std::shared_ptr<ShardRouter::Shard>> ShardRouter::BuildShard(

@@ -138,8 +138,8 @@ class MultiSnapshot {
 
 /// Executes one query against a pinned MultiSnapshot, fanning out to the
 /// shards whose key-range footprint can hold matches and merging through
-/// the canonical ordering layer: range / partial-match results re-sort
-/// into (x, y) order, k-NN candidates merge by the canonical
+/// the canonical ordering layer: range / partial-match per-shard runs
+/// merge in (x, y) order, k-NN candidates merge by the canonical
 /// (distance², x, y) key. Result POINTS are bitwise identical to
 /// executing the same spec on a single tree holding the same point set;
 /// cost counters are the sum over queried shards (plus one
@@ -172,7 +172,13 @@ query::QueryResult Execute(const MultiSnapshot& snapshot,
 class ShardRouter {
  public:
   /// In-memory router over `domain`, starting as one full-range shard.
-  ShardRouter(const geo::Box2& domain, const RouterOptions& options);
+  /// `seed_points` pre-load recovered state without logging: the shard's
+  /// tree is anchored so the router's sequence lands exactly on
+  /// `initial_sequence`, which must be >= seed_points.size() (the
+  /// recovered op count can only exceed the surviving point count).
+  ShardRouter(const geo::Box2& domain, const RouterOptions& options,
+              uint64_t initial_sequence = 0,
+              const std::vector<geo::Point2>& seed_points = {});
 
   /// Durable router over store directory `dir` (which must exist).
   /// Fresh directory (no MANIFEST): creates a one-shard store and
@@ -294,6 +300,13 @@ class ShardRouter {
   [[nodiscard]] bool CrashPoint(std::string_view stage)
       REQUIRES(writer_role_);
   [[nodiscard]] Status PoisonedStatus() const;
+
+  /// Builds a Shard over `range` holding recovered `points` without
+  /// logging, its tree anchored so its sequence lands on
+  /// `last_sequence`, and adds both counts to the router's clocks.
+  std::shared_ptr<Shard> SeedShard(const KeyRange& range,
+                                   uint64_t last_sequence,
+                                   const std::vector<geo::Point2>& points);
 
   /// Builds a fresh Shard holding `points` (Morton-sorted bulk insert;
   /// the PR decomposition is canonical, so census and structure equal

@@ -9,6 +9,17 @@
 
 namespace popan::spatial {
 
+namespace {
+
+/// True when [lo, hi) has a midpoint strictly inside it at double
+/// precision, i.e. halving it yields two columns of nonzero width.
+bool CanHalve(double lo, double hi) {
+  double mid = lo + 0.5 * (hi - lo);
+  return mid > lo && mid < hi;
+}
+
+}  // namespace
+
 GridFile::GridFile(const BoxT& domain, const GridFileOptions& options)
     : domain_(domain), options_(options) {
   POPAN_CHECK(options_.bucket_capacity >= 1);
@@ -81,29 +92,15 @@ bool GridFile::SplitBucket(uint32_t bi) {
       // "cyclic" splitting policy).
       bool do_x = split_x_next_;
       split_x_next_ = !split_x_next_;
-      if (do_x) {
-        double lo = XBoundary(b.ix0);
-        double hi = XBoundary(b.ix0 + 1);
-        if (hi - lo <= 0.0 || lo + 0.5 * (hi - lo) <= lo) {
-          // x direction exhausted at double precision; try y.
-          double ylo = YBoundary(b.iy0);
-          double yhi = YBoundary(b.iy0 + 1);
-          if (yhi - ylo <= 0.0 || ylo + 0.5 * (yhi - ylo) <= ylo) return false;
-          RefineY(b.iy0);
-        } else {
-          RefineX(b.ix0);
-        }
+      bool x_ok = CanHalve(XBoundary(b.ix0), XBoundary(b.ix0 + 1));
+      bool y_ok = CanHalve(YBoundary(b.iy0), YBoundary(b.iy0 + 1));
+      // Both axes exhausted at double precision: the caller overfills.
+      if (!x_ok && !y_ok) return false;
+      // The preferred axis when it can still halve, else the other one.
+      if (do_x ? x_ok : !y_ok) {
+        RefineX(b.ix0);
       } else {
-        double lo = YBoundary(b.iy0);
-        double hi = YBoundary(b.iy0 + 1);
-        if (hi - lo <= 0.0 || lo + 0.5 * (hi - lo) <= lo) {
-          double xlo = XBoundary(b.ix0);
-          double xhi = XBoundary(b.ix0 + 1);
-          if (xhi - xlo <= 0.0 || xlo + 0.5 * (xhi - xlo) <= xlo) return false;
-          RefineX(b.ix0);
-        } else {
-          RefineY(b.iy0);
-        }
+        RefineY(b.iy0);
       }
     }
   }
@@ -155,8 +152,8 @@ bool GridFile::SplitBucket(uint32_t bi) {
 void GridFile::RefineX(size_t ix) {
   double lo = XBoundary(ix);
   double hi = XBoundary(ix + 1);
+  POPAN_DCHECK(CanHalve(lo, hi));
   double mid = lo + 0.5 * (hi - lo);
-  POPAN_DCHECK(mid > lo && mid < hi);
   xs_.insert(xs_.begin() + static_cast<ptrdiff_t>(ix), mid);
 
   // Rebuild the directory with the duplicated column: old cell ix becomes
@@ -183,8 +180,8 @@ void GridFile::RefineX(size_t ix) {
 void GridFile::RefineY(size_t iy) {
   double lo = YBoundary(iy);
   double hi = YBoundary(iy + 1);
+  POPAN_DCHECK(CanHalve(lo, hi));
   double mid = lo + 0.5 * (hi - lo);
-  POPAN_DCHECK(mid > lo && mid < hi);
   ys_.insert(ys_.begin() + static_cast<ptrdiff_t>(iy), mid);
 
   size_t nx = CellsX();

@@ -269,12 +269,21 @@ TEST(ServerCoreTest, OutOfBoundsAndNonFiniteWritesAreRejected) {
   Request outside = Insert(1.5, 0.5);
   Request nan_point = Insert(0.5, 0.5);
   nan_point.point = Point2(std::numeric_limits<double>::quiet_NaN(), 0.5);
+  Request erase_outside = Insert(0.5, -0.25);
+  erase_outside.type = MsgType::kErase;
   core.HandleRequest(client, outside);
   core.HandleRequest(client, nan_point);
+  core.HandleRequest(client, erase_outside);
   std::vector<OutFrame> frames = DrainFrames(&core, client);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_NE(frames[0].response.status, 0);
-  EXPECT_NE(frames[1].response.status, 0);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].response.status,
+            static_cast<uint8_t>(StatusCode::kOutOfRange));
+  EXPECT_EQ(frames[1].response.status,
+            static_cast<uint8_t>(StatusCode::kInvalidArgument));
+  // An out-of-domain erase is OutOfRange like an out-of-domain insert,
+  // on every store (not NotFound).
+  EXPECT_EQ(frames[2].response.status,
+            static_cast<uint8_t>(StatusCode::kOutOfRange));
   EXPECT_EQ(core.size(), 0u);
   EXPECT_EQ(core.sequence(), 0u);  // rejected writes consume no sequence
 }
